@@ -25,8 +25,8 @@ for rows in (("n",), ("n1",), ("n", "n2"), ("n", "n1")):
 
 norms = tensor_norms(t)
 n1, n2 = norms["norm1"], norms["norm2"]
-f1 = fiber_norm_sup(t, "norm1")
-f2 = fiber_norm_sup(t, "norm2")
+sups = fiber_norm_sup(t)  # both fiber sups from one pass over the levels
+f1, f2 = sups["norm1"], sups["norm2"]
 nmax, nmed, nmin = 2, 2, 1
 print(f"norm family 1: {n1:.3f}  vs bound scale Nmax*Nmed = {nmax*nmed}")
 print(f"fiber family 1: {f1:.3f} vs scale Nmax^0.6 Nmed^0.5 = "

@@ -23,9 +23,9 @@ from .gibbs import (mode_variance_sum, sample_gff, renormalized_potential,
                     check_exponential_moments, save_ensemble, load_ensemble)
 from .noise import NoisePath
 from .flows import (propagator, stochastic_convolution, linear_evolution,
-                    DynamicsConfig, Trajectory, evolve, extract_remainder,
-                    gauge_phase, apply_gauge, duhamel, picard_remainder,
-                    PicardResult)
+                    DynamicsConfig, Trajectory, evolve, MassBlowUpError,
+                    extract_remainder, gauge_phase, apply_gauge, duhamel,
+                    picard_remainder, PicardResult)
 from .chaos import (hermite, hermite_shift, CellGrid, ChaosKernel,
                     multi_integral, kernel_inner, symmetrize, outer,
                     linear_from_paths, cubic_via_chaos,

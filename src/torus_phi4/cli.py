@@ -8,7 +8,8 @@ flat ``key = value`` text file (keys documented in
 :mod:`torus_phi4.experiments`); for ``verify`` the key ``suite`` selects one
 of {kernels, counting, tensors, chaos, strichartz, smoothing, picard, all}.
 
-Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage error.
+Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
+(including unknown config keys) or a run stopped by a mass blow-up.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from .experiments import (cmd_invariance, cmd_inviscid, cmd_smoothing,
                           cmd_verify, load_config)
+from .flows import MassBlowUpError
 
 _COMMANDS = {
     "invariance": cmd_invariance,
@@ -53,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = _COMMANDS[args.command](cfg, seed=args.seed,
                                          out_dir=args.out)
-    except ValueError as exc:
+    except (ValueError, MassBlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

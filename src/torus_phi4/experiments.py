@@ -6,6 +6,8 @@ The command-line front end in :mod:`torus_phi4.cli` wraps these functions.
 
 Config files are flat ``key = value`` text files; values are parsed as JSON
 fragments when possible (numbers, lists) and kept as strings otherwise.
+A key the command does not read raises ValueError, so a typo cannot fall
+back to a default unseen.
 Every report embeds the package version, the master seed, and a hash of the
 resolved configuration, so outputs are traceable to their inputs.
 """
@@ -76,6 +78,14 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _reject_unknown_keys(cfg: dict, accepted: tuple, command: str) -> None:
+    """Raise ValueError naming any config key the command does not read."""
+    unknown = sorted(set(cfg) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown config key(s) for {command}: {unknown}; "
+                         f"accepted: {sorted(accepted)}")
+
+
 def _stamp(report: dict, cfg: dict, seed: int) -> dict:
     report["version"] = __version__
     report["seed"] = seed
@@ -116,6 +126,9 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     quartic potential, and the mean mass.  All |z| <= z_max is the pass
     condition.
     """
+    _reject_unknown_keys(cfg, ("n_cut", "gamma", "ensemble", "horizon",
+                               "n_steps", "z_max", "beta", "chain_steps"),
+                         "invariance")
     n_cut = int(cfg.get("n_cut", 4))
     gamma = float(cfg.get("gamma", 0.5))
     ensemble = int(cfg.get("ensemble", 512))
@@ -194,6 +207,9 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     Pass: D nonincreasing along the grid within the stated slack, and the
     smallest-gamma distance below ``final_frac`` of the largest-gamma one.
     """
+    _reject_unknown_keys(cfg, ("n_cut", "horizon", "n_steps", "ensemble",
+                               "gammas", "slack", "final_frac", "s_metric",
+                               "amplitude", "renormalization"), "inviscid")
     n_cut = int(cfg.get("n_cut", 8))
     horizon = float(cfg.get("horizon", 1.0))
     n_steps = int(cfg.get("n_steps", 2000))
@@ -262,6 +278,9 @@ def cmd_smoothing(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     conditions follow the stated thresholds: linear slope 0.8 +/- 0.2 and
     integrated-cubic slope <= ``thirty_slope_max``.
     """
+    _reject_unknown_keys(cfg, ("n_cuts", "s", "gamma", "ensemble", "horizon",
+                               "thirty_slope_max", "steps_per_unit_sq"),
+                         "smoothing")
     n_cuts = tuple(cfg.get("n_cuts", [8, 16, 32, 64]))
     s = float(cfg.get("s", 0.4))
     gamma = float(cfg.get("gamma", 0.0))
@@ -425,6 +444,7 @@ _SUITES = {
 def cmd_verify(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     """Run one named verification suite (or all of them) and report
     pass/fail with measured values."""
+    _reject_unknown_keys(cfg, ("suite",), "verify")
     name = cfg.get("suite", "all")
     names = list(_SUITES) if name == "all" else [name]
     unknown = [n for n in names if n not in _SUITES]

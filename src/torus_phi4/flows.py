@@ -42,6 +42,7 @@ __all__ = [
     "DynamicsConfig",
     "Trajectory",
     "evolve",
+    "MassBlowUpError",
     "extract_remainder",
     "gauge_phase",
     "apply_gauge",
@@ -51,6 +52,22 @@ __all__ = [
 ]
 
 MASS_BLOWUP_LIMIT = 1e8
+
+
+class MassBlowUpError(RuntimeError):
+    """The mass of an `evolve` run passed MASS_BLOWUP_LIMIT.
+
+    `step` is the index of the step that produced the state, `mass` its
+    squared l2 norm.
+    """
+
+    def __init__(self, step: int, mass: float):
+        super().__init__(
+            f"mass blow-up at step {step} (mass {mass:.3g}): reduce the step "
+            "size or the data"
+        )
+        self.step = step
+        self.mass = mass
 
 
 def propagator(u: FourierField, gamma: float, t: float, t_prime: float | None = None) -> FourierField:
@@ -212,10 +229,9 @@ def evolve(phi: FourierField, path: NoisePath, cfg: DynamicsConfig) -> Trajector
             u = _nonlinear_substep(FourierField(lat, c), cfg, h, trunc_mask)
             c = u.coeffs
         c = c * decay_half + scale * path.increments[k]
-        if np.sum(np.abs(c) ** 2) > MASS_BLOWUP_LIMIT:
-            raise RuntimeError(
-                f"mass blow-up at step {k}: reduce the step size or the data"
-            )
+        m = np.sum(np.abs(c) ** 2)
+        if m > MASS_BLOWUP_LIMIT:
+            raise MassBlowUpError(k, float(m))
         u = FourierField(lat, c)
         out[k + 1] = c
     return Trajectory(
@@ -313,10 +329,6 @@ def duhamel(forcing: Trajectory, gamma: float | None = None) -> Trajectory:
     for k in range(forcing.n_snapshots - 1):
         out[k + 1] = decay * out[k] + w_left * forcing.coeffs[k] + w_right * forcing.coeffs[k + 1]
     return Trajectory(lat, forcing.times, out, gamma, {"kind": "duhamel"})
-
-
-def _traj_field(lat: ModeLattice, c: np.ndarray) -> FourierField:
-    return FourierField(lat, c)
 
 
 @dataclass

@@ -25,6 +25,7 @@ targets exactly that when asked for the Wick ensemble.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -50,8 +51,12 @@ __all__ = [
 ]
 
 
+@functools.lru_cache
 def mode_variance_sum(n_cut: float) -> float:
-    """sum of <n>^{-2} over modes with <n> <= n_cut (grows like 2*pi*log)."""
+    """sum of <n>^{-2} over modes with <n> <= n_cut (grows like 2*pi*log).
+
+    Cached per cutoff: Wick integrators ask for it on every step.
+    """
     lat = ModeLattice(n_cut)
     return float(np.sum(lat.brackets**-2.0))
 

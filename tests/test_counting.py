@@ -9,6 +9,7 @@ from torus_phi4 import (
     build_tensor,
     count_set,
     fiber,
+    fiber_norm_sup,
     matricization_norm,
     resonance_phase,
     tensor_norms,
@@ -133,6 +134,49 @@ def test_matricization_matches_dense_svd():
             # certify=True raises if the iterative value disagrees with a
             # dense SVD beyond 1e-6
             matricization_norm(t, rows, certify=True)
+
+
+def _dense_flattening(t, rows):
+    # independent of the package's group indexing: np.unique over the
+    # stacked coordinates of the row slots and of the column slots
+    cols = tuple(s for s in ("n", "n1", "n2", "n3") if s not in rows)
+    _, ri = np.unique(np.hstack([getattr(t, s) for s in rows]), axis=0,
+                      return_inverse=True)
+    _, ci = np.unique(np.hstack([getattr(t, s) for s in cols]), axis=0,
+                      return_inverse=True)
+    mat = np.zeros((ri.max() + 1, ci.max() + 1))
+    mat[ri.ravel(), ci.ravel()] = 1.0
+    return mat
+
+
+def _dense_norm(t, rows):
+    return float(np.linalg.svd(_dense_flattening(t, rows), compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("shells", [(1, 1, 1), (2, 1, 1), (2, 2, 1)])
+def test_fiber_norm_sup_matches_per_level_and_dense_svd(shells):
+    t = build_tensor(shells)
+    sups = fiber_norm_sup(t)
+    assert set(sups) == {"norm1", "norm2"}
+    levels = np.unique(t.levels)
+    per_level = [tensor_norms(fiber(t, int(lv))) for lv in levels]
+    fam = {"norm1": [("n",), ("n1",), ("n", "n2"), ("n", "n3")],
+           "norm2": [("n",), ("n", "n1")]}
+    for key, groups in fam.items():
+        assert sups[key] == max(p[key] for p in per_level)
+        dense = max(_dense_norm(fiber(t, int(lv)), r)
+                    for lv in levels for r in groups)
+        # power iteration approaches the norm from below; the 1e-12 slack
+        # covers rounding in the dense SVD itself
+        assert dense * (1.0 - 1e-6) <= sups[key] <= dense * (1.0 + 1e-12)
+
+
+def test_matricization_norm_wide_flattening_matches_dense_svd():
+    t = build_tensor((2, 1, 1))
+    mat = _dense_flattening(t, ("n1",))
+    assert 1 < mat.shape[0] < mat.shape[1]  # takes the transposed branch
+    dense = float(np.linalg.svd(mat, compute_uv=False)[0])
+    assert matricization_norm(t, ("n1",)) == pytest.approx(dense, rel=1e-6)
 
 
 def test_verify_tensor_bounds_smallest_sweep():

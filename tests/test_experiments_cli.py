@@ -8,7 +8,8 @@ import pytest
 
 from torus_phi4.cli import main
 from torus_phi4.experiments import (config_hash, load_config, write_report,
-                                    cmd_verify)
+                                    cmd_invariance, cmd_inviscid,
+                                    cmd_smoothing, cmd_verify)
 
 
 def test_load_config_parses_json_fragments(tmp_path):
@@ -99,3 +100,39 @@ def test_cli_invariance_csv_output(tmp_path, capsys):
     assert any(r["observable"] == "mass" for r in rows)
     report = json.loads((tmp_path / "out" / "invariance.json").read_text())
     assert report["ensemble"] == 8
+
+
+@pytest.mark.parametrize("command, cfg", [
+    (cmd_inviscid, {"ensembel": 2, "n_steps": 10, "horizon": 0.01,
+                    "n_cut": 2, "gammas": [0.5]}),
+    (cmd_invariance, {"ensembel": 2, "n_cut": 2}),
+    (cmd_smoothing, {"ensembel": 2, "n_cuts": [8]}),
+    (cmd_verify, {"suite": "kernels", "ensembel": 2}),
+])
+def test_unknown_config_key_is_rejected(command, cfg):
+    with pytest.raises(ValueError, match=r"\['ensembel'\]; accepted: \[.*'"):
+        command(cfg)
+
+
+def test_cli_exit_two_on_unknown_config_key(tmp_path, capsys):
+    cfg_file = tmp_path / "inv.cfg"
+    cfg_file.write_text("ensembel = 2\nn_steps = 10\nhorizon = 0.01\n"
+                        "n_cut = 2\ngammas = [0.5]\n")
+    assert main(["inviscid", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ensembel" in captured.err
+
+
+def test_cli_exit_two_on_mass_blowup(tmp_path, capsys):
+    cfg_file = tmp_path / "inv.cfg"
+    # h = 0.2 is far beyond the explicit substep's stability limit
+    cfg_file.write_text("ensemble = 2\nn_cut = 2\nchain_steps = 10\n"
+                        "n_steps = 10\n")
+    assert main(["invariance", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "mass blow-up at step" in lines[0]
+    assert not (tmp_path / "out" / "invariance.json").exists()

@@ -6,6 +6,7 @@ import pytest
 from torus_phi4 import (
     DynamicsConfig,
     FourierField,
+    MassBlowUpError,
     ModeLattice,
     NoisePath,
     Trajectory,
@@ -23,6 +24,7 @@ from torus_phi4 import (
     sobolev_norm,
     stochastic_convolution,
 )
+from torus_phi4.flows import MASS_BLOWUP_LIMIT
 
 
 def _gff(n_cut, seed):
@@ -220,5 +222,8 @@ def test_evolve_raises_on_blowup():
     big = FourierField(lat, 1e5 * np.ones(lat.n_modes, dtype=complex))
     path = NoisePath.generate(lat, 1.0, 10, seed=0)
     cfg = DynamicsConfig(gamma=1.0, n_trunc=2)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError) as info:
         evolve(big, path, cfg)
+    assert isinstance(info.value, MassBlowUpError)
+    assert 0 <= info.value.step < path.n_steps
+    assert info.value.mass > MASS_BLOWUP_LIMIT
