@@ -35,7 +35,7 @@ from .objects import (ObjectBundle, build_bundle, regularity_scan,
 from .xsb import (smooth_bump, trajectory_window,
                   TwistedSpectrum, twisted_transform, xsb_norm,
                   sup_time_sobolev, duhamel_symbol, symbol_decay_sweep,
-                  symbol_lipschitz_sweep, l4_ratio_scan, trilinear_ratio,
+                  symbol_lipschitz_sweep, l4_ratio_scan,
                   RandomOperator, operator_norm_estimate)
 from .counting import (resonance_phase, CountQuery, count_set, SparseTensor,
                        build_tensor, fiber, matricization_norm, tensor_norms,

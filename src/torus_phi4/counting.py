@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .spectral import ModeLattice, bracket
+from .spectral import bracket
 
 __all__ = [
     "resonance_phase",

@@ -23,20 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spectral import ModeLattice, FourierField, sobolev_norm
+from .spectral import ModeLattice, FourierField
 from .nonlinearity import mass as field_mass
-from .gibbs import (mode_variance_sum, sample_gff, sample_gibbs_pcn,
-                    sample_gibbs_pcn_chains, wick_potential,
-                    check_exponential_moments)
+from .gibbs import mode_variance_sum, sample_gff, sample_gibbs_pcn_chains, \
+    wick_potential
 from .noise import NoisePath
-from .flows import DynamicsConfig, evolve, apply_gauge, picard_remainder, \
-    extract_remainder, duhamel, linear_evolution, Trajectory
+from .flows import DynamicsConfig, evolve, picard_remainder, \
+    extract_remainder, linear_evolution
 from .objects import regularity_scan, write_scan_csv
 from .chaos import CellGrid, ChaosKernel, multi_integral, kernel_inner, \
-    symmetrize, linear_from_paths, cubic_via_chaos, hypercontractivity_ratio
+    symmetrize
 from .xsb import symbol_decay_sweep, symbol_lipschitz_sweep, l4_ratio_scan
 from .counting import CountQuery, count_set, verify_tensor_bounds
-from .nonlinearity import nonpairing_batch
 
 __all__ = [
     "load_config",

@@ -97,12 +97,9 @@ def stochastic_convolution(
     path: NoisePath, gamma: float, n_trunc: float | None = None
 ) -> "Trajectory":
     """Exact sampling of the stochastic convolution along the path grid."""
-    lat = path.lattice
-    decay, scale = _ou_factors(lat, gamma, path.h, n_trunc)
-    out = np.zeros((path.n_steps + 1, lat.n_modes), dtype=np.complex128)
-    for k in range(path.n_steps):
-        out[k + 1] = decay * out[k] + scale * path.increments[k]
-    return Trajectory(lat, path.times, out, gamma, {"kind": "stochastic_convolution"})
+    traj = linear_evolution(FourierField(path.lattice), path, gamma, n_trunc)
+    traj.meta["kind"] = "stochastic_convolution"
+    return traj
 
 
 def linear_evolution(
@@ -293,9 +290,14 @@ def apply_gauge(
     )
 
 
-def _phi_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi1(a) = (1-e^{-a})/a and phi2(a) = (a-1+e^{-a})/a^2, stable near 0."""
-    a = np.asarray(a, dtype=np.complex128)
+def _duhamel_weights(lattice: ModeLattice, gamma: float, h: float):
+    """Exponential-trapezoid weights (w_left, w_right) of one step of size h.
+
+    With a = (gamma+i) h <n>^2, w_left = h (phi1 - phi2) and w_right = h phi2,
+    where phi1(a) = (1-e^{-a})/a and phi2(a) = (a-1+e^{-a})/a^2, evaluated
+    by their power series near a = 0.
+    """
+    a = (gamma + 1j) * h * lattice.brackets**2
     small = np.abs(a) < 1e-2
     safe = np.where(small, 1.0, a)
     phi1 = (1.0 - np.exp(-safe)) / safe
@@ -306,7 +308,9 @@ def _phi_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(7, -1, -1):
         s1 = s1 * (-a) + 1.0 / math.factorial(k + 1)
         s2 = s2 * (-a) + (k + 1.0) / math.factorial(k + 2)
-    return np.where(small, s1, phi1), np.where(small, s2, phi2)
+    phi1 = np.where(small, s1, phi1)
+    phi2 = np.where(small, s2, phi2)
+    return h * (phi1 - phi2), h * phi2
 
 
 def duhamel(forcing: Trajectory, gamma: float | None = None) -> Trajectory:
@@ -320,11 +324,8 @@ def duhamel(forcing: Trajectory, gamma: float | None = None) -> Trajectory:
         gamma = forcing.gamma
     lat = forcing.lattice
     h = forcing.h
-    a = (gamma + 1j) * h * lat.brackets**2
-    decay = np.exp(-a)
-    phi1, phi2 = _phi_weights(a)
-    w_left = h * (phi1 - phi2)
-    w_right = h * phi2
+    decay = np.exp(-(gamma + 1j) * h * lat.brackets**2)
+    w_left, w_right = _duhamel_weights(lat, gamma, h)
     out = np.zeros_like(forcing.coeffs)
     for k in range(forcing.n_snapshots - 1):
         out[k + 1] = decay * out[k] + w_left * forcing.coeffs[k] + w_right * forcing.coeffs[k + 1]

@@ -168,7 +168,6 @@ def sample_gibbs_pcn_chains(
     rng: np.random.Generator,
     beta: float = 0.1,
     n_steps: int = 20_000,
-    n_cut: float | None = None,
 ) -> PCNResult:
     """Independent pCN chains advanced in lockstep, one sample per chain.
 
@@ -178,14 +177,8 @@ def sample_gibbs_pcn_chains(
     regimes.  All chains share each step's batched FFT work, so the
     lockstep sweep costs little more than a single long chain.
     """
-    from scipy.fft import ifft2
-
-    if n_cut is None:
-        n_cut = lattice.n_cut
-    if n_cut != lattice.n_cut:
-        raise ValueError("batched sampler requires n_cut == lattice.n_cut")
     if potential == "wick":
-        sigma = mode_variance_sum(n_cut)
+        sigma = mode_variance_sum(lattice.n_cut)
 
         def phi(m2, m4):
             return 0.5 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
@@ -195,9 +188,6 @@ def sample_gibbs_pcn_chains(
     else:
         raise ValueError("potential must be 'quartic' or 'wick'")
 
-    M = lattice.M
-    ix = lattice.modes[:, 0] % M
-    iy = lattice.modes[:, 1] % M
     inv_br = 1.0 / lattice.brackets
 
     def draw(n):
@@ -205,9 +195,7 @@ def sample_gibbs_pcn_chains(
         return (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0) * inv_br
 
     def moments(c):
-        spec = np.zeros((c.shape[0], M, M), dtype=np.complex128)
-        spec[:, ix, iy] = c
-        w = ifft2(spec, axes=(-2, -1)) * M**2
+        w = lattice.to_grid(c)
         m2 = np.sum(np.abs(c) ** 2, axis=1)
         m4 = np.mean(np.abs(w) ** 4, axis=(-2, -1))
         return m2, m4

@@ -28,8 +28,8 @@ __all__ = [
     "mass",
     "quartic_mean",
     "cubic",
-    "trilinear_cubic",
     "nonpairing",
+    "nonpairing_batch",
     "resonant",
     "renormalized_cubic",
     "wick_cubic",
@@ -50,22 +50,15 @@ def quartic_mean(u: FourierField) -> float:
     return float(np.mean(np.abs(w) ** 4))
 
 
-def trilinear_cubic(u1: FourierField, u2: FourierField, u3: FourierField) -> FourierField:
-    """Unrestricted convolution sum: coefficients of u1 * conj(u2) * u3.
-
-    Computed as a grid product; exact on the retained modes because the
-    grid has at least 4*n_max+1 points per direction.
-    """
-    lat = u1.lattice
-    w = u1.to_physical() * np.conj(u2.to_physical()) * u3.to_physical()
-    return FourierField.from_physical(lat, w)
+def _cube(lat: ModeLattice, c: np.ndarray) -> np.ndarray:
+    """Coefficients of |u|^2 u for u with coefficients c[..., n_modes] (alias-free)."""
+    w = lat.to_grid(c)
+    return lat.from_grid(np.abs(w) ** 2 * w)
 
 
 def cubic(u: FourierField) -> FourierField:
     """|u|^2 u projected back onto the retained modes (alias-free)."""
-    lat = u.lattice
-    w = u.to_physical()
-    return FourierField.from_physical(lat, np.abs(w) ** 2 * w)
+    return FourierField(u.lattice, _cube(u.lattice, u.coeffs))
 
 
 def resonant(u1: FourierField, u2: FourierField, u3: FourierField) -> FourierField:
@@ -74,24 +67,36 @@ def resonant(u1: FourierField, u2: FourierField, u3: FourierField) -> FourierFie
 
 
 def nonpairing(u1: FourierField, u2: FourierField, u3: FourierField) -> FourierField:
-    """Pairing-free trilinear form T(u1,u2,u3).
+    """Pairing-free trilinear form T(u1,u2,u3); see nonpairing_batch."""
+    return FourierField(
+        u1.lattice, nonpairing_batch(u1.lattice, u1.coeffs, u2.coeffs, u3.coeffs)
+    )
+
+
+def nonpairing_batch(
+    lat: ModeLattice, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray
+) -> np.ndarray:
+    """Pairing-free trilinear form T applied to c[..., n_modes] coefficient arrays.
 
     Inclusion-exclusion over the two pairing hyperplanes {n2 = n1} and
-    {n2 = n3} of the unrestricted convolution:
+    {n2 = n3} of the unrestricted convolution u1 conj(u2) u3 (a grid
+    product, exact on the retained modes):
 
-        T = full - <u2,u1> u3 - <u2,u3> u1 + R(u1,u2,u3)
+        T = full - <u1,u2> u3 - <u3,u2> u1 + R(u1,u2,u3)
 
-    with <v,w> = sum v_hat conj(w_hat)... concretely the n2 = n1 plane
-    contributes (sum_m u1(m) conj(u2(m))) u3 and n2 = n3 contributes
-    (sum_m u3(m) conj(u2(m))) u1; the doubly-paired diagonal is added
-    back once.
+    with <v,w> = sum_m v_hat(m) conj(w_hat(m)); the doubly-paired diagonal
+    R is added back once.  When one array fills all three slots the full
+    product is |u|^2 u and both pairings are the mass, so two transforms
+    do the work of four.
     """
-    full = trilinear_cubic(u1, u2, u3)
-    p12 = complex(np.sum(u1.coeffs * np.conj(u2.coeffs)))
-    p32 = complex(np.sum(u3.coeffs * np.conj(u2.coeffs)))
-    corr = p12 * u3.coeffs + p32 * u1.coeffs
-    diag = u1.coeffs * np.conj(u2.coeffs) * u3.coeffs
-    return FourierField(u1.lattice, full.coeffs - corr + diag)
+    if c1 is c2 is c3:
+        m = np.sum(np.abs(c1) ** 2, axis=-1, keepdims=True)
+        return _cube(lat, c1) - 2.0 * m * c1 + np.abs(c1) ** 2 * c1
+    w = lat.to_grid(c1) * np.conj(lat.to_grid(c2)) * lat.to_grid(c3)
+    full = lat.from_grid(w)
+    p12 = np.sum(c1 * np.conj(c2), axis=-1, keepdims=True)
+    p32 = np.sum(c3 * np.conj(c2), axis=-1, keepdims=True)
+    return full - p12 * c3 - p32 * c1 + c1 * np.conj(c2) * c3
 
 
 def renormalized_cubic(u: FourierField) -> FourierField:
@@ -117,46 +122,6 @@ def conserved_energy(u: FourierField) -> float:
     """
     quad = float(np.sum(u.lattice.brackets**2 * np.abs(u.coeffs) ** 2))
     return quad + 0.5 * quartic_mean(u) - mass(u) ** 2
-
-
-def _embed_batch(lat: ModeLattice, coeffs: np.ndarray) -> np.ndarray:
-    spec = np.zeros(coeffs.shape[:-1] + (lat.M, lat.M), dtype=np.complex128)
-    spec[..., lat.modes[:, 0] % lat.M, lat.modes[:, 1] % lat.M] = coeffs
-    return spec
-
-
-def _to_physical_batch(lat: ModeLattice, coeffs: np.ndarray) -> np.ndarray:
-    from scipy.fft import ifft2 as _ifft2
-
-    return _ifft2(_embed_batch(lat, coeffs), axes=(-2, -1)) * lat.M**2
-
-
-def _from_physical_batch(lat: ModeLattice, values: np.ndarray) -> np.ndarray:
-    from scipy.fft import fft2 as _fft2
-
-    spec = _fft2(values, axes=(-2, -1)) / lat.M**2
-    return spec[..., lat.modes[:, 0] % lat.M, lat.modes[:, 1] % lat.M]
-
-
-def nonpairing_batch(
-    lat: ModeLattice, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray
-) -> np.ndarray:
-    """Pairing-free trilinear form applied snapshot-wise to (K, n_modes) arrays."""
-    w = (
-        _to_physical_batch(lat, c1)
-        * np.conj(_to_physical_batch(lat, c2))
-        * _to_physical_batch(lat, c3)
-    )
-    full = _from_physical_batch(lat, w)
-    p12 = np.sum(c1 * np.conj(c2), axis=-1, keepdims=True)
-    p32 = np.sum(c3 * np.conj(c2), axis=-1, keepdims=True)
-    return full - p12 * c3 - p32 * c1 + c1 * np.conj(c2) * c3
-
-
-def cubic_batch(lat: ModeLattice, c: np.ndarray) -> np.ndarray:
-    """|u|^2 u applied snapshot-wise to (K, n_modes) coefficient arrays."""
-    w = _to_physical_batch(lat, c)
-    return _from_physical_batch(lat, np.abs(w) ** 2 * w)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Trajectory, duhamel, linear_evolution
+from .flows import (Trajectory, _duhamel_weights, _ou_factors, duhamel,
+                    linear_evolution)
 from .gibbs import sample_gff
 from .noise import NoisePath
 from .nonlinearity import nonpairing_batch
@@ -70,25 +71,18 @@ def _member_norms(
     n_steps: int,
     rng: np.random.Generator,
     s: float,
-    seed: int,
 ) -> dict:
     """Time-averaged squared H^s norms of the three objects for one member.
 
     Streams the recursions step by step; only O(n_modes) state is kept.
     """
-    from .flows import _ou_factors, _phi_weights
-
     h = horizon / n_steps
-    q = lattice.brackets**2
     w_s = lattice.brackets ** (2.0 * s)
     decay, scale = _ou_factors(lattice, gamma, h, None)
-    a = (gamma + 1j) * h * q
-    phi1, phi2 = _phi_weights(a)
-    w_left, w_right = h * (phi1 - phi2), h * phi2
+    w_left, w_right = _duhamel_weights(lattice, gamma, h)
 
-    phi0 = sample_gff(lattice, rng)
-    lin = phi0.coeffs.copy()
-    cub_prev = nonpairing_batch(lattice, lin[None], lin[None], lin[None])[0]
+    lin = sample_gff(lattice, rng).coeffs
+    cub_prev = nonpairing_batch(lattice, lin, lin, lin)
     icub = np.zeros_like(lin)
     acc = {"linear": 0.0, "cubic": 0.0, "integrated_cubic": 0.0}
     for k in range(n_steps):
@@ -97,8 +91,8 @@ def _member_norms(
             inc = np.sqrt(h / 2.0) * (z[:, 0] + 1j * z[:, 1])
         else:
             inc = 0.0
-        lin = np.exp(-(gamma + 1j) * h * q) * lin + scale * inc
-        cub = nonpairing_batch(lattice, lin[None], lin[None], lin[None])[0]
+        lin = decay * lin + scale * inc
+        cub = nonpairing_batch(lattice, lin, lin, lin)
         icub = decay * icub + w_left * cub_prev + w_right * cub
         cub_prev = cub
         acc["linear"] += float(np.sum(w_s * np.abs(lin) ** 2))
@@ -132,7 +126,7 @@ def regularity_scan(
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(seed), int(N), m])
             )
-            norms = _member_norms(lattice, gamma, horizon, n_steps, rng, s, seed)
+            norms = _member_norms(lattice, gamma, horizon, n_steps, rng, s)
             for name in results:
                 results[name][i, m] = norms[name]
     out = {"n_cuts": tuple(n_cuts), "s": s, "gamma": gamma, "ensemble": ensemble}

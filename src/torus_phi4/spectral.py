@@ -76,6 +76,8 @@ class ModeLattice:
             self.n_modes
         )
         self._lookup = tbl
+        # scatter/gather index of the retained modes on the M x M grid
+        self._grid_index = (self.modes[:, 0] % self.M, self.modes[:, 1] % self.M)
 
     def index_of(self, n) -> np.ndarray:
         """Indices of modes `n` (shape (...,2)); -1 where not retained."""
@@ -96,17 +98,22 @@ class ModeLattice:
         x = 2.0 * np.pi * np.arange(self.M) / self.M
         return np.meshgrid(x, x, indexing="ij")
 
-    def embed(self, coeffs: np.ndarray) -> np.ndarray:
-        """Scatter lattice coefficients into an M x M spectral array."""
-        spec = np.zeros((self.M, self.M), dtype=np.complex128)
-        spec[self.modes[:, 0] % self.M, self.modes[:, 1] % self.M] = coeffs
-        return spec
+    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid values u(x_j) = sum_n u_hat(n) e^{i n.x_j} of c[..., n_modes].
 
-    def extract(self, spec: np.ndarray) -> np.ndarray:
-        """Gather retained-mode coefficients from an M x M spectral array."""
-        return np.ascontiguousarray(
-            spec[self.modes[:, 0] % self.M, self.modes[:, 1] % self.M]
-        )
+        Leading axes are a batch; the result has shape c.shape[:-1] + (M, M).
+        """
+        spec = np.zeros(coeffs.shape[:-1] + (self.M, self.M), dtype=np.complex128)
+        spec[..., self._grid_index[0], self._grid_index[1]] = coeffs
+        return ifft2(spec, axes=(-2, -1)) * self.M**2
+
+    def from_grid(self, values: np.ndarray) -> np.ndarray:
+        """Retained-mode coefficients of grid values w[..., M, M].
+
+        Exact for band-limited data; the inverse of to_grid.
+        """
+        spec = fft2(values, axes=(-2, -1))
+        return spec[..., self._grid_index[0], self._grid_index[1]] / self.M**2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeLattice) and other.n_cut == self.n_cut
@@ -135,14 +142,12 @@ class FourierField:
 
     def to_physical(self) -> np.ndarray:
         """Evaluate u(x_j) = sum_n u_hat(n) e^{i n.x_j} on the M x M grid."""
-        lat = self.lattice
-        return ifft2(lat.embed(self.coeffs)) * lat.M**2
+        return self.lattice.to_grid(self.coeffs)
 
     @classmethod
     def from_physical(cls, lattice: ModeLattice, values: np.ndarray) -> "FourierField":
         """Project grid values onto the retained modes (exact for band-limited data)."""
-        spec = fft2(values) / lattice.M**2
-        return cls(lattice, lattice.extract(spec))
+        return cls(lattice, lattice.from_grid(values))
 
     def __add__(self, other: "FourierField") -> "FourierField":
         return FourierField(self.lattice, self.coeffs + other.coeffs)

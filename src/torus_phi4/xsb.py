@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, fftfreq, next_fast_len
 
-from .spectral import FourierField, ModeLattice
+from .spectral import ModeLattice
 from .nonlinearity import nonpairing_batch
 from .flows import Trajectory, duhamel
 
@@ -53,7 +53,6 @@ __all__ = [
     "symbol_decay_sweep",
     "symbol_lipschitz_sweep",
     "l4_ratio_scan",
-    "trilinear_ratio",
     "RandomOperator",
     "operator_norm_estimate",
 ]
@@ -332,9 +331,7 @@ def _synthesize_trajectory(lattice: ModeLattice, mode_mask: np.ndarray,
 def _l4_spacetime(traj: Trajectory, chi: np.ndarray) -> float:
     """(integral over the window of the grid-mean of |u|^4)^(1/4); exact for
     fields supported on the retained ball thanks to the padded grid."""
-    phys = np.fft.ifft2(
-        np.stack([traj.lattice.embed(c) for c in traj.coeffs]),
-        axes=(-2, -1)) * traj.lattice.M ** 2
+    phys = traj.lattice.to_grid(traj.coeffs)
     m4 = (np.abs(phys) ** 4).mean(axis=(-2, -1))
     h = traj.times[1] - traj.times[0]
     return float((h * np.sum(chi ** 4 * m4)) ** 0.25)
@@ -373,32 +370,6 @@ def l4_ratio_scan(ball_sizes=(1, 2, 4, 8, 16), ensemble: int = 8,
     y = np.log(np.asarray(results["ratio"], dtype=float))
     results["growth_exponent"] = float(np.polyfit(x, y, 1)[0])
     return results
-
-
-def trilinear_ratio(n_cut: int = 8, ensemble: int = 8, seed: int = 3,
-                    horizon: float = 1.0, n_steps: int = 256,
-                    s: float = 0.2) -> dict:
-    """Trilinear space-time estimate: ratio of the X^{s,-1/2} norm of the
-    pairing-free product to the product of the factors' X^{s,1/2} norms,
-    over random band-limited triples."""
-    lattice = ModeLattice(n_cut)
-    mask = np.ones(lattice.n_modes, dtype=bool)
-    ratios = []
-    for member in range(ensemble):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, member]))
-        trajs = [_synthesize_trajectory(lattice, mask, rng, horizon, n_steps)
-                 for _ in range(3)]
-        prod = nonpairing_batch(lattice, trajs[0].coeffs, trajs[1].coeffs,
-                                trajs[2].coeffs)
-        ptraj = Trajectory(lattice=lattice, times=trajs[0].times,
-                           coeffs=prod, gamma=0.0, meta={})
-        num = xsb_norm(twisted_transform(ptraj), s, -0.5)
-        den = 1.0
-        for tr in trajs:
-            den *= xsb_norm(twisted_transform(tr), s, 0.5)
-        ratios.append(num / den)
-    return {"max_ratio": float(max(ratios)),
-            "mean_ratio": float(np.mean(ratios))}
 
 
 # ---------------------------------------------------------------------------

@@ -224,10 +224,10 @@ def test_criterion_08_multilinear_smoothing():
     rep = cmd_smoothing({}, seed=0)
     dt = time.time() - t0
     ok = bool(rep["passed"] and dt < 900.0)
-    # evidence: the time-integrated cubic object's squared norm keeps
-    # growing across these lattice sizes (exact second-moment computations
-    # agree with the Monte Carlo scan), so the 0.1 slope gate is not met
-    # at cutoffs up to 64 even though the linear object's slope is on target
+    # evidence: in the Monte Carlo scan the time-integrated cubic object's
+    # squared norm keeps growing across these lattice sizes, so the 0.1
+    # slope gate is not met at cutoffs up to 64 even though the linear
+    # object's slope is on target
     _report(8, ok, f"linear slope {rep['linear_slope']:.2f} (0.8 +/- 0.2), "
                    f"integrated-cubic slope {rep['integrated_cubic_slope']:.2f}"
                    f" (gate 0.10), {dt:.0f}s")

@@ -15,6 +15,7 @@ from torus_phi4 import (
     renormalized_potential,
     sample_gff,
     sample_gibbs_pcn,
+    sample_gibbs_pcn_chains,
     save_ensemble,
     sobolev_norm,
     wick_action,
@@ -113,10 +114,30 @@ def test_pcn_single_mode_matches_quadrature(potential):
     assert abs(samples.mean() - oracle) < 6 * se
 
 
+@pytest.mark.parametrize("potential", ["quartic", "wick"])
+def test_pcn_chains_trace_is_mean_action(potential):
+    # the lockstep sampler evaluates the action from batched grid moments;
+    # its last trace entry must equal the scalar action averaged over the
+    # chain endpoints it returns
+    lat = ModeLattice(2)
+    res = sample_gibbs_pcn_chains(lat, potential, 6, np.random.default_rng(4),
+                                  beta=0.3, n_steps=300)
+    assert len(res.fields) == 6 and res.n_steps == 300
+    assert 0.0 < res.acceptance_rate < 1.0
+    if potential == "wick":
+        actions = [wick_action(f, lat.n_cut) for f in res.fields]
+    else:
+        actions = [-renormalized_potential(f, lat.n_cut) for f in res.fields]
+    assert res.potential_trace[-1] == pytest.approx(np.mean(actions),
+                                                    rel=1e-12, abs=1e-12)
+
+
 def test_pcn_rejects_unknown_potential():
     lat = ModeLattice(1)
     with pytest.raises(ValueError):
         sample_gibbs_pcn(lat, "cubic", 10, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_gibbs_pcn_chains(lat, "cubic", 2, np.random.default_rng(0))
 
 
 def test_exponential_moments_bounded_and_cauchy():

@@ -1,0 +1,85 @@
+"""Static hygiene of the package source: no unused imports, no dangling exports.
+
+Pure ``ast`` checks, so they need no linter installed.  The package's
+``__init__.py`` re-exports names by importing them and is exempt from the
+unused-import rule.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import torus_phi4
+
+PACKAGE = Path(torus_phi4.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Local name bound by each import in the module -> its line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Names read anywhere in the module, including string annotations
+    and the entries of ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # forward references such as "Trajectory" and __all__ entries
+            used.add(node.value)
+    return used
+
+
+def _all_entries(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _top_level_names(tree: ast.Module) -> set:
+    names = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _used_names(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported_names(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_exist(path):
+    tree = ast.parse(path.read_text())
+    missing = sorted(set(_all_entries(tree)) - _top_level_names(tree))
+    assert not missing, f"{path.name} lists undefined names in __all__: {missing}"
+
+
+def test_checker_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom a import b, c\n\nprint(b)\n")
+    assert sorted(set(_imported_names(tree)) - _used_names(tree)) == ["c", "os"]

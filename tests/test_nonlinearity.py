@@ -39,6 +39,14 @@ def test_transform_forms_match_oracle():
             exclude_12=True, exclude_23=True), u1, u2, u3).coeffs
         scale = np.max(np.abs(slow)) or 1.0
         assert np.max(np.abs(fast - slow)) / scale < 1e-12
+        # both kernel branches on one field: the same array in all three
+        # slots (two transforms) and equal copies (the general four)
+        c = u1.coeffs
+        slow_1 = oracle_trilinear(TrilinearSpec(), u1, u1, u1).coeffs
+        scale_1 = np.max(np.abs(slow_1))
+        for fast_1 in (nonpairing_batch(lat, c, c, c),
+                       nonpairing_batch(lat, c, c.copy(), c.copy())):
+            assert np.max(np.abs(fast_1 - slow_1)) / scale_1 < 1e-12
         # the doubly-paired diagonal, written out longhand
         fast_r = resonant(u1, u2, u3).coeffs
         slow_r = u1.coeffs * np.conj(u2.coeffs) * u3.coeffs

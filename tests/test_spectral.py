@@ -43,9 +43,17 @@ def test_index_lookup_roundtrip():
 def test_transform_roundtrip_exact():
     lat = ModeLattice(6)
     rng = np.random.default_rng(0)
-    u = random_field(lat, rng)
+    fields = [random_field(lat, rng) for _ in range(3)]
+    u = fields[0]
     back = FourierField.from_physical(lat, u.to_physical())
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-13
+    # the batched core: a (B, K) stack maps row by row, and back
+    stack = np.stack([f.coeffs for f in fields])
+    grid = lat.to_grid(stack)
+    assert grid.shape == (3, lat.M, lat.M)
+    for row, f in zip(grid, fields):
+        assert np.max(np.abs(row - f.to_physical())) < 1e-12
+    assert np.max(np.abs(lat.from_grid(grid) - stack)) < 1e-13
 
 
 def test_single_mode_physical_values():
