@@ -2,8 +2,8 @@
 
 Enumerates the solution set of a paired linear/quadratic constraint
 system over lattice boxes, builds the sparse indicator tensor over dyadic
-shells, and compares matricization operator norms (power iteration) with
-the analytic counting bounds.
+shells, and compares matricization operator norms (block decomposition
+with certified iteration) with the analytic counting bounds.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ for rows in (("n",), ("n1",), ("n", "n2"), ("n", "n1")):
 
 norms = tensor_norms(t)
 n1, n2 = norms["norm1"], norms["norm2"]
-sups = fiber_norm_sup(t)  # both fiber sups from one pass over the levels
+sups = fiber_norm_sup(t)  # both fiber sups, one flattening per row group
 f1, f2 = sups["norm1"], sups["norm2"]
 nmax, nmed, nmin = 2, 2, 1
 print(f"norm family 1: {n1:.3f}  vs bound scale Nmax*Nmed = {nmax*nmed}")

@@ -140,39 +140,22 @@ def build_tensor(
     [N_j, 2 N_j).  Pairing exclusions n2 != n1 and n2 != n3 apply.
     n_cap optionally restricts the output mode to <n> <= n_cap.
     """
-    s1 = _shell(centers[0], shells[0])
-    s2 = _shell(centers[1], shells[1])
-    s3 = _shell(centers[2], shells[2])
+    s1, s2, s3 = (_shell(c, n_lo) for c, n_lo in zip(centers, shells))
     if s1.shape[0] * s2.shape[0] * s3.shape[0] > SUPPORT_GUARD:
         raise ValueError("shell volumes exceed the support guard")
-    out = []
-    for p1 in s1:
-        # vectorize over (n2, n3)
-        n = p1[None, None, :] - s2[:, None, :] + s3[None, :, :]
-        ok = np.ones(n.shape[:2], dtype=bool)
-        ok &= ~np.all(s2[:, None, :] == p1[None, None, :], axis=-1)
-        ok &= ~np.all(s2[:, None, :] == s3[None, :, :], axis=-1)
+    # collect int32 shell indices and gather once: no second output copy
+    unpaired23 = np.any(s2[:, None, :] != s3[None, :, :], axis=-1)
+    index = [np.zeros((3, 0), dtype=np.int32)]
+    for k, p1 in enumerate(s1):
+        ok = unpaired23 & np.any(s2 != p1, axis=-1)[:, None]
         if n_cap is not None:
-            ok &= bracket(n) <= n_cap + 1e-12
+            ok &= bracket(p1 - s2[:, None, :] + s3[None, :, :]) <= n_cap + 1e-12
         i2, i3 = np.nonzero(ok)
-        if i2.size:
-            out.append(
-                (
-                    n[i2, i3],
-                    np.broadcast_to(p1, (i2.size, 2)).copy(),
-                    s2[i2],
-                    s3[i3],
-                )
-            )
-    if not out:
-        z = np.zeros((0, 2), dtype=np.int64)
-        return SparseTensor(z, z.copy(), z.copy(), z.copy(), np.zeros(0, dtype=np.int64))
-    n = np.concatenate([o[0] for o in out])
-    n1 = np.concatenate([o[1] for o in out])
-    n2 = np.concatenate([o[2] for o in out])
-    n3 = np.concatenate([o[3] for o in out])
-    lev = resonance_phase(n, n1, n2, n3)
-    return SparseTensor(n, n1, n2, n3, lev)
+        index.append(np.stack([np.full(i2.size, k), i2, i3]).astype(np.int32))
+    i1, i2, i3 = np.concatenate(index, axis=1)
+    n1, n2, n3 = s1[i1], s2[i2], s3[i3]
+    n = n1 - n2 + n3
+    return SparseTensor(n, n1, n2, n3, resonance_phase(n, n1, n2, n3))
 
 
 def fiber(tensor: SparseTensor, level: int) -> SparseTensor:
@@ -187,81 +170,112 @@ def fiber(tensor: SparseTensor, level: int) -> SparseTensor:
     )
 
 
-def _group_index(tensor: SparseTensor, slots: tuple) -> np.ndarray:
-    # encode each (x, y) mode pair as a scalar key, then combine slots;
-    # scalar np.unique is far cheaper than row-wise unique
-    key = np.zeros(tensor.nnz, dtype=np.int64)
-    for s in slots:
-        col = getattr(tensor, s).astype(np.int64)
-        off = int(max(np.abs(col).max(initial=0), 1)) + 1
-        span = 2 * off + 1
-        pair = (col[:, 0] + off) * span + (col[:, 1] + off)
-        key = key * (span * span) + pair
-    _, idx = np.unique(key, return_inverse=True)
-    return idx
+NORM_TOL = 1e-12  # relative width of the certified interval of an iterated block
+_FAM1 = (("n",), ("n1",), ("n", "n2"), ("n", "n3"))
+_FAM2 = (("n",), ("n", "n1"))
+
+
+def _flatten(tensor: SparseTensor, rows: tuple, level=None) -> tuple:
+    """Row and column index of each entry in the rows x columns flattening."""
+    # scalar keys per (x, y) mode pair, combined across slots on top of the
+    # level index if given: scalar np.unique is far cheaper than row-wise
+    cols = tuple(s for s in ("n", "n1", "n2", "n3") if s not in rows)
+    out = []
+    for slots in (rows, cols):
+        key = np.zeros(tensor.nnz, dtype=np.int64) if level is None else level
+        for s in slots:
+            col = getattr(tensor, s).astype(np.int64, copy=False)
+            off = int(max(np.abs(col).max(initial=0), 1)) + 1
+            span = 2 * off + 1
+            key = key * (span * span) + (col[:, 0] + off) * span + (col[:, 1] + off)
+        out.append(np.unique(key, return_inverse=True)[1].astype(np.int32, copy=False))
+    return tuple(out)
+
+
+def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
+    """Largest singular value of the 0/1 matrix with ones at (ri[k], ci[k]).
+
+    Rows and columns are numbered from 0 without gaps; no pair repeats.
+    The norm is the largest over the connected blocks of the row/column
+    graph; a block with one row, one column or no zero has norm sqrt(nnz).
+    Any other block that may beat the running maximum (by its Frobenius and
+    Schur bounds) is power-iterated on its Gram matrix G from a positive v
+    between the Collatz-Wielandt bounds sqrt(v.Gv/v.v) and sqrt(max_i
+    (Gv)_i/v_i), to relative width `tol` or until rounding stops the
+    interval shrinking, and gives the lower end.  A block's value depends
+    only on its entries in their given order, so a block-diagonal matrix
+    gets, bit for bit, the largest of its blocks' own norms.
+    """
+    # imported here: csgraph adds tens of ms and about 9 MB to importing
+    # the package, and only tensor norms need it
+    from scipy.sparse.csgraph import connected_components
+
+    if ri.size == 0:
+        return 0.0
+    nr, nc = int(ri.max()) + 1, int(ci.max()) + 1
+    graph = sp.coo_matrix((np.ones(ri.size, dtype=np.int8), (ri, ci + nr)),
+                          shape=(nr + nc, nr + nc))
+    n_blocks, label = connected_components(graph, directed=False)
+    del graph
+    row_label, col_label = label[:nr], label[nr:]
+    block = row_label[ri]
+    nnz = np.bincount(block, minlength=n_blocks)
+    n_rows = np.bincount(row_label, minlength=n_blocks)
+    n_cols = np.bincount(col_label, minlength=n_blocks)
+    closed = (n_rows == 1) | (n_cols == 1) | (nnz == n_rows * n_cols)
+    best = float(np.sqrt(nnz[closed].max(initial=0)))
+    open_blocks = np.flatnonzero(~closed)
+    if open_blocks.size == 0:
+        return best
+    max_row = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(max_row, row_label, np.bincount(ri, minlength=nr))
+    max_col = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(max_col, col_label, np.bincount(ci, minlength=nc))
+    size = nnz[open_blocks]
+    bound = np.sqrt(np.minimum(size, (max_row * max_col)[open_blocks]))
+    # entries of the open blocks, grouped by block, each in its given order
+    entries = np.flatnonzero(~closed[block])
+    entries = entries[np.argsort(block[entries], kind="stable")]
+    stops = np.cumsum(size)
+    for j in np.argsort(-size, kind="stable"):
+        if bound[j] <= best:
+            continue
+        sel = entries[stops[j] - size[j]:stops[j]]
+        r = np.unique(ri[sel], return_inverse=True)[1]
+        c = np.unique(ci[sel], return_inverse=True)[1]
+        if r.max() < c.max():  # iterate on the smaller side
+            r, c = c, r
+        v = np.bincount(c).astype(np.float64)  # column sums: a positive start
+        lo, hi, width = 0.0, float(bound[j]), np.inf
+        while best < hi and tol * hi < hi - lo < width:
+            width = hi - lo
+            w = np.bincount(c, weights=np.bincount(r, weights=v[c])[r])
+            lo = max(lo, float(np.sqrt(v @ w / (v @ v))))
+            hi = min(hi, float(np.sqrt(np.max(w / v))))
+            v = w / np.max(w)
+        best = max(best, min(lo, hi))
+    return best
 
 
 def matricization_norm(
-    tensor: SparseTensor, rows: tuple, certify: bool = False, tol: float = 1e-8
+    tensor: SparseTensor, rows: tuple, certify: bool = False, tol: float = NORM_TOL
 ) -> float:
     """Largest singular value of the tensor flattened to rows x columns.
 
     rows: slot names (subset of n, n1, n2, n3); the complement indexes
-    the columns.  Uses power iteration on the Gram matrix, which stops
-    when two successive iterates differ by at most `tol` relative; the
-    value is a lower estimate and can sit further below the norm than
-    `tol` (up to about 2.5e-8 relative on small shells).  With certify=True a
-    dense SVD cross-check runs when the matrix is small.
+    the columns.  Exact (sqrt of an entry count) when a closed-form block
+    wins, else the lower end of a certified interval of relative width
+    `tol` (default 1e-12) around the norm; see `_flattening_norm`.  With
+    certify=True a dense SVD cross-check runs when neither side exceeds
+    2000 and raises AssertionError beyond 1e-10 relative.
     """
-    if tensor.nnz == 0:
-        return 0.0
-    cols = tuple(s for s in ("n", "n1", "n2", "n3") if s not in rows)
-    ri = _group_index(tensor, rows)
-    ci = _group_index(tensor, cols)
-    nr, nc = int(ri.max()) + 1, int(ci.max()) + 1
-    mat = sp.coo_matrix(
-        (np.ones(tensor.nnz), (ri, ci)), shape=(nr, nc)
-    ).tocsr()
-    if min(nr, nc) == 1:
-        val = float(np.sqrt((mat.multiply(mat)).sum()))
-        return val
-    # power iteration on A^T A (values are 0/1 so the matrix is nonnegative
-    # and the iteration converges monotonically from a positive start)
-    if nc <= nr:
-        a = mat
-    else:
-        a = mat.T.tocsr()
-    at = a.T  # a view; building it inside the loop costs more than the matvecs
-    v = np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1]))
-    val = 0.0
-    converged = False
-    for _ in range(1000):
-        w = a @ v
-        v_new = at @ w
-        norm = float(np.linalg.norm(v_new))
-        if norm == 0.0:
-            return 0.0
-        new_val = float(np.sqrt(norm))
-        v = v_new / norm
-        if abs(new_val - val) <= tol * max(new_val, 1.0):
-            val = new_val
-            converged = True
-            break
-        val = new_val
-    if not converged:
-        # near-degenerate top singular values stall the value estimate;
-        # fall back to a dense Gram eigenvalue on the smaller side
-        if min(nr, nc) <= 4000:
-            gram = (at @ a).toarray()
-            val = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-        else:
-            raise RuntimeError(
-                f"matricization power iteration did not converge to {tol} "
-                f"within 1000 iterations (rows={rows})"
-            )
-    if certify and max(nr, nc) <= 2000:
-        dense = float(np.linalg.norm(mat.toarray(), 2))
-        if abs(dense - val) > 1e-6 * max(dense, 1.0):
+    ri, ci = _flatten(tensor, rows)
+    val = _flattening_norm(ri, ci, tol)
+    if certify and max(ri.max(initial=0), ci.max(initial=0)) < 2000:
+        mat = np.zeros((ri.max(initial=0) + 1, ci.max(initial=0) + 1))
+        mat[ri, ci] = 1.0
+        dense = float(np.linalg.norm(mat, 2))
+        if abs(dense - val) > 1e-10 * max(dense, 1.0):
             raise AssertionError(
                 f"sparse singular value {val} disagrees with dense SVD {dense}"
             )
@@ -274,40 +288,25 @@ def tensor_norms(tensor: SparseTensor) -> dict:
     norm1: max over row groups {n}, {n1}, {n,n2}, {n,n3}.
     norm2: max over row groups {n}, {n,n1}.
     """
-    fam1 = [("n",), ("n1",), ("n", "n2"), ("n", "n3")]
-    fam2 = [("n",), ("n", "n1")]
-    cache = {r: matricization_norm(tensor, r)
-             for r in dict.fromkeys(fam1 + fam2)}
-    vals1 = {r: cache[r] for r in fam1}
-    vals2 = {r: cache[r] for r in fam2}
-    return {
-        "norm1": max(vals1.values()),
-        "norm2": max(vals2.values()),
-        "norm1_parts": vals1,
-        "norm2_parts": vals2,
-    }
+    vals = {r: matricization_norm(tensor, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
+    vals1, vals2 = ({r: vals[r] for r in fam} for fam in (_FAM1, _FAM2))
+    return {"norm1": max(vals1.values()), "norm2": max(vals2.values()),
+            "norm1_parts": vals1, "norm2_parts": vals2}
 
 
 def fiber_norm_sup(tensor: SparseTensor) -> dict:
-    """sup over resonance levels of the fiber norms, in one pass.
+    """sup over resonance levels of the fiber norms.
 
-    Returns {"norm1": ..., "norm2": ...}, each the largest `tensor_norms`
-    value of that name over the fibers.
+    Returns {"norm1": ..., "norm2": ...}, each bit for bit the largest
+    `tensor_norms` value of that name over the fibers.  The level index
+    leads every row and column key, so each flattening is block diagonal
+    over the levels and one call per row group gives the sup.
     """
-    order = np.argsort(tensor.levels, kind="stable")
-    sorted_levels = tensor.levels[order]
-    bounds = np.flatnonzero(np.diff(sorted_levels)) + 1
-    starts = np.concatenate([[0], bounds])
-    stops = np.concatenate([bounds, [len(sorted_levels)]])
-    best = {"norm1": 0.0, "norm2": 0.0}
-    for lo, hi in zip(starts, stops):
-        sel = order[lo:hi]
-        f = SparseTensor(tensor.n[sel], tensor.n1[sel], tensor.n2[sel],
-                         tensor.n3[sel], tensor.levels[sel])
-        norms = tensor_norms(f)
-        for key in best:
-            best[key] = max(best[key], norms[key])
-    return best
+    level = np.unique(tensor.levels, return_inverse=True)[1]
+    sup = {r: _flattening_norm(*_flatten(tensor, r, level), NORM_TOL)
+           for r in dict.fromkeys(_FAM1 + _FAM2)}
+    return {"norm1": max(sup[r] for r in _FAM1),
+            "norm2": max(sup[r] for r in _FAM2)}
 
 
 DEFAULT_SHELL_SWEEPS: tuple = (

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 MASS_BLOWUP_LIMIT = 1e8
+TRAJECTORY_FORMAT = "torus-phi4/trajectory-v1"  # the "format" key of a saved manifest
 
 
 class MassBlowUpError(RuntimeError):
@@ -155,6 +156,7 @@ class Trajectory:
         os.makedirs(directory, exist_ok=True)
         np.save(os.path.join(directory, "coeffs.npy"), self.coeffs)
         manifest = {
+            "format": TRAJECTORY_FORMAT,
             "n_cut": self.lattice.n_cut,
             "times": self.times.tolist(),
             "gamma": self.gamma,
@@ -167,14 +169,17 @@ class Trajectory:
     def load(cls, directory: str) -> "Trajectory":
         with open(os.path.join(directory, "manifest.json")) as fh:
             manifest = json.load(fh)
+        if manifest.get("format") != TRAJECTORY_FORMAT:
+            raise ValueError(f"unrecognized trajectory format in {directory}")
+        lattice = ModeLattice(manifest["n_cut"])
+        times = np.asarray(manifest["times"])
         coeffs = np.load(os.path.join(directory, "coeffs.npy"))
-        return cls(
-            ModeLattice(manifest["n_cut"]),
-            np.asarray(manifest["times"]),
-            coeffs,
-            manifest["gamma"],
-            manifest.get("meta", {}),
-        )
+        if coeffs.shape != (times.size, lattice.n_modes):
+            raise ValueError(
+                f"trajectory coefficients have shape {coeffs.shape}, expected "
+                f"{(times.size, lattice.n_modes)} for its times and cutoff"
+            )
+        return cls(lattice, times, coeffs, manifest["gamma"], manifest.get("meta", {}))
 
 
 def _nonlinear_substep(

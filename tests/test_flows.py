@@ -1,5 +1,7 @@
 """Propagators, stochastic flows, gauge transform, Duhamel, Picard."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from torus_phi4 import (
     sobolev_norm,
     stochastic_convolution,
 )
-from torus_phi4.flows import MASS_BLOWUP_LIMIT
+from torus_phi4.flows import MASS_BLOWUP_LIMIT, TRAJECTORY_FORMAT
 
 
 def _gff(n_cut, seed):
@@ -215,6 +217,41 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     np.testing.assert_allclose(back.times, traj.times, atol=0)
     assert back.gamma == traj.gamma
     assert back.lattice.n_modes == lat.n_modes
+
+
+def _saved_trajectory(tmp_path):
+    lat = ModeLattice(2)
+    path = NoisePath.generate(lat, 0.25, 4, seed=3)
+    traj = evolve(FourierField(lat, 0.1 * _gff(2, 14).coeffs), path,
+                  DynamicsConfig(gamma=0.4, n_trunc=2))
+    directory = tmp_path / "traj"
+    traj.save(str(directory))
+    return directory
+
+
+@pytest.mark.parametrize("fmt", [None, "torus-phi4/trajectory-v0"])
+def test_trajectory_load_rejects_missing_or_unknown_format(tmp_path, fmt):
+    directory = _saved_trajectory(tmp_path)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["format"] == TRAJECTORY_FORMAT
+    if fmt is None:
+        del manifest["format"]
+    else:
+        manifest["format"] = fmt
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="format"):
+        Trajectory.load(str(directory))
+
+
+def test_trajectory_load_rejects_shape_mismatch(tmp_path):
+    directory = _saved_trajectory(tmp_path)
+    coeffs = np.load(directory / "coeffs.npy")
+    np.save(directory / "coeffs.npy", coeffs[:-1])  # one snapshot short
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory.load(str(directory))
+    np.save(directory / "coeffs.npy", coeffs[:, :-1])  # one mode short
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory.load(str(directory))
 
 
 def test_evolve_raises_on_blowup():

@@ -6,6 +6,8 @@ unused-import rule.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,13 @@ def test_all_names_exist(path):
 def test_checker_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c\n\nprint(b)\n")
     assert sorted(set(_imported_names(tree)) - _used_names(tree)) == ["c", "os"]
+
+
+def test_package_import_leaves_csgraph_unloaded():
+    # scipy.sparse.csgraph costs tens of ms and about 9 MB at import, and
+    # only the tensor norms use it, so `counting` imports it where it is used
+    code = ("import sys, torus_phi4; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "False"
