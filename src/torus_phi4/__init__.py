@@ -21,9 +21,10 @@ from .gibbs import (mode_variance_sum, sample_gff, renormalized_potential,
                     wick_potential, wick_action, sample_gibbs_pcn,
                     sample_gibbs_pcn_chains,
                     check_exponential_moments, save_ensemble, load_ensemble)
-from .noise import NoisePath
+from .noise import NoisePath, lockstep_increments
 from .flows import (propagator, stochastic_convolution, linear_evolution,
-                    DynamicsConfig, Trajectory, evolve, MassBlowUpError,
+                    DynamicsConfig, Trajectory, evolve, lockstep,
+                    linear_distance, MassBlowUpError,
                     extract_remainder, gauge_phase, apply_gauge, duhamel,
                     picard_remainder, PicardResult)
 from .chaos import (hermite, hermite_shift, CellGrid, ChaosKernel,

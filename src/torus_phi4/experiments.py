@@ -27,9 +27,9 @@ from .spectral import ModeLattice, FourierField
 from .nonlinearity import mass as field_mass
 from .gibbs import mode_variance_sum, sample_gff, sample_gibbs_pcn_chains, \
     wick_potential
-from .noise import NoisePath
-from .flows import DynamicsConfig, evolve, picard_remainder, \
-    extract_remainder, linear_evolution
+from .noise import NoisePath, lockstep_increments
+from .flows import DynamicsConfig, evolve, lockstep, picard_remainder, \
+    extract_remainder, linear_distance, linear_evolution
 from .objects import regularity_scan, write_scan_csv
 from .chaos import CellGrid, ChaosKernel, multi_integral, kernel_inner, \
     symmetrize
@@ -133,6 +133,8 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     horizon = float(cfg.get("horizon", 2.0))
     n_steps = int(cfg.get("n_steps", 800))
     z_max = float(cfg.get("z_max", 3.0))
+    beta = float(cfg.get("beta", 0.1))
+    chain_steps = int(cfg.get("chain_steps", 20_000))
     lattice = ModeLattice(n_cut)
     sigma = mode_variance_sum(n_cut)
 
@@ -140,27 +142,27 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     # one independent chain per ensemble member: the paired z-test below
     # assumes independent members, which thinned single-chain states do
     # not deliver in this slowly mixing regime
-    fields = sample_gibbs_pcn_chains(
-        lattice, "wick", ensemble, rng,
-        beta=float(cfg.get("beta", 0.1)),
-        n_steps=int(cfg.get("chain_steps", 20_000))).fields
+    pcn = sample_gibbs_pcn_chains(lattice, "wick", ensemble, rng, beta=beta,
+                                  n_steps=chain_steps)
 
     dyn = DynamicsConfig(gamma=gamma, n_trunc=n_cut, renormalization="wick",
                          nonlinearity_on=True, noise_on=True)
     checkpoints = (0, n_steps // 2, n_steps)
     obs = np.empty((len(checkpoints), ensemble, lattice.n_modes + 2))
 
-    for m in range(ensemble):
-        path = NoisePath.generate(lattice, horizon, n_steps,
-                                  seed=int(np.random.SeedSequence(
-                                      [seed, 202, m]).generate_state(1)[0]))
-        traj = evolve(fields[m], path, dyn)
-        for j, k in enumerate(checkpoints):
-            c = traj.coeffs[k]
-            u = FourierField(lattice, c)
-            obs[j, m, :lattice.n_modes] = np.abs(c) ** 2
-            obs[j, m, -2] = wick_potential(u, n_cut)
-            obs[j, m, -1] = field_mass(u)
+    # every member advances in lockstep, each driven by its own seeded path
+    seeds = [int(np.random.SeedSequence([seed, 202, m]).generate_state(1)[0])
+             for m in range(ensemble)]
+    phi = FourierField(lattice, np.stack([u.coeffs for u in pcn.fields]))
+    steps = lockstep(phi, lockstep_increments(lattice, horizon, n_steps, seeds),
+                     horizon / n_steps, dyn)
+    for k, c in enumerate(steps):
+        for j in (j for j, kc in enumerate(checkpoints) if kc == k):
+            obs[j, :, :lattice.n_modes] = np.abs(c) ** 2
+            for m in range(ensemble):
+                u = FourierField(lattice, c[m])
+                obs[j, m, -2] = wick_potential(u, n_cut)
+                obs[j, m, -1] = field_mass(u)
 
     base = obs[0]
     zrows = []
@@ -181,7 +183,8 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     report = _stamp({
         "experiment": "invariance",
         "n_cut": n_cut, "gamma": gamma, "ensemble": ensemble,
-        "horizon": horizon, "sigma": sigma,
+        "horizon": horizon, "n_steps": n_steps, "chain_steps": chain_steps,
+        "beta": beta, "acceptance_rate": pcn.acceptance_rate, "sigma": sigma,
         "worst_abs_z": worst, "z_max": z_max,
         "passed": bool(worst <= z_max),
     }, cfg, seed)
@@ -225,41 +228,53 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
 
     lattice = ModeLattice(n_cut)
     wt = lattice.brackets.astype(float) ** (2.0 * s_metric)
-    dists = np.zeros((ensemble, len(gammas)))
+    seeds = [int(np.random.SeedSequence([seed, 7, m]).generate_state(1)[0])
+             for m in range(ensemble)]
+    phi = np.empty((ensemble, lattice.n_modes), dtype=np.complex128)
     for m in range(ensemble):
-        path_seed = int(np.random.SeedSequence([seed, 7, m])
-                        .generate_state(1)[0])
-        path = NoisePath.generate(lattice, horizon, n_steps, seed=path_seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 8, m]))
-        phi = sample_gff(lattice, rng)
-        phi = FourierField(lattice, amplitude * phi.coeffs)
-        ref = evolve(phi, path, DynamicsConfig(gamma=0.0, n_trunc=n_cut,
-                                               renormalization=renorm))
-        for j, g in enumerate(gammas):
-            traj = evolve(phi, path,
-                          DynamicsConfig(gamma=float(g), n_trunc=n_cut,
-                                         renormalization=renorm))
-            diff2 = (np.abs(traj.coeffs - ref.coeffs) ** 2 * wt[None, :]) \
-                .sum(axis=1)
-            dists[m, j] = np.sqrt(diff2.max())
+        phi[m] = amplitude * sample_gff(lattice, rng).coeffs
+    # rows (gamma, member) of one lockstep stack: row 0 is the undamped
+    # reference, and each member's data and path are shared by its rows
+    rows = np.array([0.0] + [float(g) for g in gammas])[:, None]
+    dyn = DynamicsConfig(gamma=rows, n_trunc=n_cut, renormalization=renorm)
+    steps = lockstep(FourierField(lattice, phi),
+                     lockstep_increments(lattice, horizon, n_steps, seeds),
+                     horizon / n_steps, dyn)
+    sup2 = np.zeros((ensemble, len(gammas)))  # running sup over time
+    for c in steps:
+        diff2 = (np.abs(c[1:] - c[0]) ** 2 * wt).sum(axis=-1)
+        np.maximum(sup2, diff2.T, out=sup2)
+    dists = np.sqrt(sup2)
     mean_d = dists.mean(axis=0)
     se_d = dists.std(axis=0, ddof=1) / np.sqrt(ensemble)
     monotone = bool(np.all(mean_d[1:] <= mean_d[:-1] * (1.0 + slack)))
     contract = bool(mean_d[-1] <= final_frac * mean_d[0])
-    rows = [{"gamma": g, "mean_distance": float(d), "stderr": float(s)}
-            for g, d, s in zip(gammas, mean_d, se_d)]
+    floor = [linear_distance(lattice, float(g), horizon, s_metric, amplitude)
+             for g in gammas]
+    csv_rows = [{"gamma": g, "mean_distance": float(d), "stderr": float(s)}
+                for g, d, s in zip(gammas, mean_d, se_d)]
     report = _stamp({
         "experiment": "inviscid",
-        "n_cut": n_cut, "horizon": horizon, "ensemble": ensemble,
-        "gammas": list(map(float, gammas)),
+        "n_cut": n_cut, "horizon": horizon, "n_steps": n_steps,
+        "ensemble": ensemble, "gammas": list(map(float, gammas)),
+        "renormalization": renorm, "s_metric": s_metric,
+        "amplitude": amplitude,
         "mean_distances": mean_d.tolist(),
         "stderr": se_d.tolist(),
+        # sqrt E||u_gamma(T) - u_0(T)||^2 of the linear flow, and its
+        # smallest-gamma / largest-gamma ratio: the contraction the
+        # noise-driven linear part alone allows on this grid
+        "linear_floor": {
+            "distances": floor,
+            "ratio": floor[int(np.argmin(gammas))] / floor[int(np.argmax(gammas))],
+        },
         "monotone_within_slack": monotone,
         "final_contraction": contract,
         "passed": monotone and contract,
     }, cfg, seed)
     if out_dir is not None:
-        _write_csv(rows, out_dir, "inviscid_distances")
+        _write_csv(csv_rows, out_dir, "inviscid_distances")
         write_report(report, out_dir, "inviscid")
     return report
 

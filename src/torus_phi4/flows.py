@@ -18,7 +18,9 @@ coupled realization by realization.
 The time integrator is Strang splitting with the exact linear/noise
 step; the nonlinear substep is an exact pointwise phase rotation when
 gamma = 0 (modulus preserving, hence mass conserving before projection)
-and an explicit Euler update otherwise.
+and an explicit Euler update otherwise.  `lockstep` advances a stack of
+states, one damping per row, in one batched step; `evolve` is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +45,8 @@ __all__ = [
     "DynamicsConfig",
     "Trajectory",
     "evolve",
+    "lockstep",
+    "linear_distance",
     "MassBlowUpError",
     "extract_remainder",
     "gauge_phase",
@@ -56,19 +61,21 @@ TRAJECTORY_FORMAT = "torus-phi4/trajectory-v1"  # the "format" key of a saved ma
 
 
 class MassBlowUpError(RuntimeError):
-    """The mass of an `evolve` run passed MASS_BLOWUP_LIMIT.
+    """The mass of a row of an integrator stack passed MASS_BLOWUP_LIMIT.
 
     `step` is the index of the step that produced the state, `mass` its
-    squared l2 norm.
+    squared l2 norm, and `member` the row's index in the stack flattened
+    to (rows, n_modes) (0 for `evolve`).
     """
 
-    def __init__(self, step: int, mass: float):
+    def __init__(self, step: int, mass: float, member: int = 0):
         super().__init__(
-            f"mass blow-up at step {step} (mass {mass:.3g}): reduce the step "
-            "size or the data"
+            f"mass blow-up at step {step} in member {member} (mass {mass:.3g}): "
+            "reduce the step size or the data"
         )
         self.step = step
         self.mass = mass
+        self.member = member
 
 
 def propagator(u: FourierField, gamma: float, t: float, t_prime: float | None = None) -> FourierField:
@@ -80,14 +87,16 @@ def propagator(u: FourierField, gamma: float, t: float, t_prime: float | None = 
     return FourierField(u.lattice, u.coeffs * mult)
 
 
-def _ou_factors(lattice: ModeLattice, gamma: float, h: float, n_trunc: float | None):
-    """Per-mode decay factor and increment rescaling for one step of size h."""
+def _ou_factors(
+    lattice: ModeLattice, gamma: float | np.ndarray, h: float, n_trunc: float | None
+):
+    """Per-mode decay factor and increment rescaling for one step of size h.
+
+    `gamma` is a float or an array of shape (..., 1) for per-row dampings.
+    """
     q = lattice.brackets**2
     decay = np.exp(-(gamma + 1j) * h * q)
-    if gamma > 0.0:
-        var = -np.expm1(-2.0 * gamma * h * q) / q  # (1 - e^{-2 gamma h q})/q
-    else:
-        var = np.zeros_like(q)
+    var = -np.expm1(-2.0 * gamma * h * q) / q  # (1 - e^{-2 gamma h q})/q, 0 at gamma 0
     scale = np.sqrt(var / h)  # driving increments have E|DB|^2 = h
     if n_trunc is not None:
         scale = np.where(lattice.brackets <= n_trunc + 1e-12, scale, 0.0)
@@ -120,7 +129,13 @@ def linear_evolution(
 
 @dataclass
 class DynamicsConfig:
-    gamma: float
+    """Settings of the renormalized flow.
+
+    `gamma` is a float, or for `lockstep` an array of per-row dampings
+    broadcastable to the stack's leading shape.
+    """
+
+    gamma: float | np.ndarray
     n_trunc: float
     renormalization: str = "dynamic"  # 'dynamic': subtract 2*mass(u); 'wick': 2*sigma
     sigma: float | None = None
@@ -183,27 +198,76 @@ class Trajectory:
 
 
 def _nonlinear_substep(
-    u: FourierField, cfg: DynamicsConfig, h: float, trunc_mask: np.ndarray
-) -> FourierField:
+    u: FourierField, rot: np.ndarray, h_damped: np.ndarray, sigma: float | None,
+    h: float, trunc_mask: np.ndarray
+) -> np.ndarray:
+    """Nonlinear substep of size h on the stack u, then sharp truncation.
+
+    Rows where `rot` holds (gamma = 0) take the exact flow of
+    du/dt = -i (|u|^2 - 2m) u, a pointwise phase rotation (m is constant
+    along the substep because |u(x)| is preserved).  The other rows take an
+    explicit Euler step u - h (gamma+i) W(u), with h (gamma+i) per row in
+    `h_damped`.  m and W use the constant sigma, or the mass when sigma is
+    None (the dynamic renormalization).
+    """
     lat = u.lattice
-    if cfg.gamma == 0.0:
-        # exact flow of du/dt = -i (|u|^2 - 2m) u: pointwise phase rotation
-        # (m is constant along the substep because |u(x)| is preserved)
-        if cfg.renormalization == "wick":
-            m = cfg.resolved_sigma()
-        else:
-            m = mass(u)
-        w = u.to_physical()
-        w = w * np.exp(-1j * h * (np.abs(w) ** 2 - 2.0 * m))
-        out = FourierField.from_physical(lat, w)
-    else:
-        if cfg.renormalization == "wick":
-            drift = wick_cubic(u, cfg.resolved_sigma())
-        else:
-            drift = renormalized_cubic(u)
-        out = FourierField(lat, u.coeffs - h * (cfg.gamma + 1j) * drift.coeffs)
-    out.coeffs *= trunc_mask
+    out = np.empty_like(u.coeffs)
+    if rot.any():
+        v = FourierField(lat, u.coeffs[rot])
+        m = sigma if sigma is not None else mass(v)[:, None, None]
+        w = v.to_physical()
+        # a named factor: numpy multiplies into an unnamed temporary above
+        # 256 KB, with a loop whose last bits differ from the one a row
+        # alone would take
+        phase = np.exp(-1j * h * (np.abs(w) ** 2 - 2.0 * m))
+        out[rot] = lat.from_grid(w * phase)
+    if not rot.all():
+        v = FourierField(lat, u.coeffs[~rot])
+        drift = wick_cubic(v, sigma) if sigma is not None else renormalized_cubic(v)
+        out[~rot] = v.coeffs - h_damped * drift.coeffs
+    out *= trunc_mask
     return out
+
+
+def lockstep(
+    phi: FourierField, increments: Iterable[np.ndarray], h: float, cfg: DynamicsConfig
+) -> Iterator[np.ndarray]:
+    """Advance a stack of states in lockstep, one damping per row.
+
+    `phi.coeffs` has shape (..., n_modes) and `cfg.gamma` broadcasts
+    against its leading shape; the stack has their common shape.  Each item
+    of `increments` drives one step and broadcasts against the stack, so
+    rows can share a path.  Yields the truncated data, then the state after
+    each step; the arrays are not modified later.  A row equals the
+    one-row `evolve` at its damping and path bit for bit.
+    """
+    lat = phi.lattice
+    gamma = np.asarray(cfg.gamma, dtype=np.float64)
+    shape = np.broadcast_shapes(phi.coeffs.shape[:-1], gamma.shape)
+    g = gamma[..., None]
+    decay_half = np.exp(-(g + 1j) * (h / 2.0) * lat.brackets**2)
+    _, scale = _ou_factors(lat, g, h, cfg.n_trunc)
+    if not cfg.noise_on:
+        scale = np.zeros_like(scale)
+    trunc_mask = (lat.brackets <= cfg.n_trunc + 1e-12).astype(np.float64)
+    rows = np.broadcast_to(gamma, shape)
+    rot = rows == 0.0
+    h_damped = h * (rows[~rot][:, None] + 1j)
+    sigma = cfg.resolved_sigma() if cfg.renormalization == "wick" else None
+
+    c = np.broadcast_to(phi.coeffs * trunc_mask, shape + (lat.n_modes,))
+    yield c
+    for k, inc in enumerate(increments):
+        c = c * decay_half
+        if cfg.nonlinearity_on:
+            c = _nonlinear_substep(FourierField(lat, c), rot, h_damped, sigma, h,
+                                   trunc_mask)
+        c = c * decay_half + scale * inc
+        m = np.sum(np.abs(c) ** 2, axis=-1).ravel()
+        if np.any(m > MASS_BLOWUP_LIMIT):
+            r = int(np.flatnonzero(m > MASS_BLOWUP_LIMIT)[0])
+            raise MassBlowUpError(k, float(m[r]), r)
+        yield c
 
 
 def evolve(phi: FourierField, path: NoisePath, cfg: DynamicsConfig) -> Trajectory:
@@ -213,29 +277,13 @@ def evolve(phi: FourierField, path: NoisePath, cfg: DynamicsConfig) -> Trajector
     size h (then sharp truncation), exact linear half step, then the
     Ornstein-Uhlenbeck noise increment.  With the nonlinearity switched
     off this reproduces propagator + stochastic_convolution exactly.
+    The one-row case of `lockstep`.
     """
     lat = path.lattice
-    h = path.h
-    decay_half = np.exp(-(cfg.gamma + 1j) * (h / 2.0) * lat.brackets**2)
-    _, scale = _ou_factors(lat, cfg.gamma, h, cfg.n_trunc)
-    if not cfg.noise_on:
-        scale = np.zeros_like(scale)
-    trunc_mask = (lat.brackets <= cfg.n_trunc + 1e-12).astype(np.float64)
-
     out = np.empty((path.n_steps + 1, lat.n_modes), dtype=np.complex128)
-    u = FourierField(lat, phi.coeffs * trunc_mask)
-    out[0] = u.coeffs
-    for k in range(path.n_steps):
-        c = u.coeffs * decay_half
-        if cfg.nonlinearity_on:
-            u = _nonlinear_substep(FourierField(lat, c), cfg, h, trunc_mask)
-            c = u.coeffs
-        c = c * decay_half + scale * path.increments[k]
-        m = np.sum(np.abs(c) ** 2)
-        if m > MASS_BLOWUP_LIMIT:
-            raise MassBlowUpError(k, float(m))
-        u = FourierField(lat, c)
-        out[k + 1] = c
+    stack = FourierField(lat, phi.coeffs[None])
+    for k, c in enumerate(lockstep(stack, path.increments, path.h, cfg)):
+        out[k] = c[0]
     return Trajectory(
         lat,
         path.times,
@@ -243,6 +291,23 @@ def evolve(phi: FourierField, path: NoisePath, cfg: DynamicsConfig) -> Trajector
         cfg.gamma,
         {"kind": "evolve", "renormalization": cfg.renormalization, "n_trunc": cfg.n_trunc},
     )
+
+
+def linear_distance(
+    lattice: ModeLattice, gamma: float, t: float, s: float, amplitude: float = 1.0
+) -> float:
+    """sqrt(E ||u_gamma(t) - u_0(t)||_{H^s}^2) for the linear flow, in closed form.
+
+    u_gamma is `linear_evolution` from free-field data scaled by
+    `amplitude`, driven by its path at damping gamma; u_0 is the undamped
+    run from the same data, which feels no noise.  With a = gamma t <n>^2
+    mode n contributes <n>^{2s-2} (amplitude^2 (1 - e^{-a})^2 + 1 - e^{-2a}),
+    which at amplitude 1 is 2 <n>^{2s-2} (1 - e^{-a}).
+    """
+    q = lattice.brackets**2
+    a = gamma * t * q
+    var = amplitude**2 * np.expm1(-a) ** 2 - np.expm1(-2.0 * a)
+    return float(np.sqrt(np.sum(q ** (s - 1.0) * var)))
 
 
 def extract_remainder(

@@ -205,14 +205,14 @@ def sample_gibbs_pcn_chains(
     sq = np.sqrt(1.0 - beta**2)
     accepted = 0
     trace = np.empty(n_steps)
-    for _ in range(n_steps):
+    for k in range(n_steps):
         prop = sq * u + beta * draw(n_chains)
         phi_p = phi(*moments(prop))
         acc = np.log(rng.uniform(size=n_chains)) < phi_u - phi_p
         u[acc] = prop[acc]
         phi_u[acc] = phi_p[acc]
         accepted += int(acc.sum())
-        trace[_] = phi_u.mean()
+        trace[k] = phi_u.mean()
     fields = [FourierField(lattice, u[k].copy()) for k in range(n_chains)]
     return PCNResult(fields, accepted / (n_steps * n_chains), trace, beta, n_steps)
 

@@ -6,17 +6,58 @@ increment DB_n(k) of an independent standard complex Brownian motion
 be refined: halving the step draws the missing midpoints by a Brownian
 bridge from a deterministic child stream, so the summed fine increments
 reproduce the coarse ones exactly and coarse/fine runs stay coupled.
+
+`lockstep_increments` streams the paths of a whole ensemble step by step,
+drawing each member's path in blocks of steps from its own stream; the
+values equal `NoisePath.generate`'s bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .spectral import ModeLattice
 
-__all__ = ["NoisePath"]
+__all__ = ["NoisePath", "lockstep_increments"]
+
+BLOCK_ENTRIES = 2**15  # complex increments (512 KB) held per block of an ensemble
+
+
+def _increment_blocks(
+    lattice: ModeLattice, horizon: float, n_steps: int, seed: int, block: int
+) -> Iterator[np.ndarray]:
+    """The increments of one seeded path, `block` steps at a time.
+
+    The generator fills its normals in order, so consecutive blocks
+    concatenate to a single draw of all n_steps.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    h = horizon / n_steps
+    for start in range(0, n_steps, block):
+        z = rng.standard_normal((min(block, n_steps - start), lattice.n_modes, 2))
+        yield np.sqrt(h / 2.0) * (z[..., 0] + 1j * z[..., 1])
+
+
+def lockstep_increments(
+    lattice: ModeLattice, horizon: float, n_steps: int, seeds
+) -> Iterator[np.ndarray]:
+    """Per-step increments of the paths NoisePath.generate(..., seed=s), s in seeds.
+
+    Yields n_steps arrays of shape (len(seeds), n_modes).  Memory holds one
+    block of steps of every path, about BLOCK_ENTRIES values, not whole
+    paths.
+    """
+    block = max(1, BLOCK_ENTRIES // (len(seeds) * lattice.n_modes))
+    streams = [_increment_blocks(lattice, horizon, n_steps, s, block) for s in seeds]
+    for start in range(0, n_steps, block):
+        buf = np.empty((min(block, n_steps - start), len(seeds), lattice.n_modes),
+                       dtype=np.complex128)
+        for i, stream in enumerate(streams):
+            buf[:, i] = next(stream)
+        yield from buf
 
 
 @dataclass
@@ -43,10 +84,7 @@ class NoisePath:
     def generate(
         cls, lattice: ModeLattice, horizon: float, n_steps: int, seed: int
     ) -> "NoisePath":
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-        h = horizon / n_steps
-        z = rng.standard_normal((n_steps, lattice.n_modes, 2))
-        inc = np.sqrt(h / 2.0) * (z[..., 0] + 1j * z[..., 1])
+        (inc,) = _increment_blocks(lattice, horizon, n_steps, seed, n_steps)
         return cls(lattice, horizon, inc, int(seed), 0)
 
     def refine(self) -> "NoisePath":

@@ -39,9 +39,13 @@ __all__ = [
 ]
 
 
-def mass(u: FourierField) -> float:
-    """Normalized spatial average of |u|^2 (= sum of |u_hat|^2)."""
-    return float(np.sum(np.abs(u.coeffs) ** 2))
+def mass(u: FourierField) -> float | np.ndarray:
+    """Normalized spatial average of |u|^2 (= sum of |u_hat|^2).
+
+    A float for one field, an array of the leading shape for a stack.
+    """
+    m = np.sum(np.abs(u.coeffs) ** 2, axis=-1)
+    return float(m) if m.ndim == 0 else m
 
 
 def quartic_mean(u: FourierField) -> float:
@@ -102,7 +106,8 @@ def nonpairing_batch(
 def renormalized_cubic(u: FourierField) -> FourierField:
     """W(u) = (|u|^2 - 2*mass(u)) u = T(u,u,u) - R(u,u,u)."""
     c = cubic(u)
-    return FourierField(u.lattice, c.coeffs - 2.0 * mass(u) * u.coeffs)
+    m = np.expand_dims(mass(u), -1)
+    return FourierField(u.lattice, c.coeffs - 2.0 * m * u.coeffs)
 
 
 def wick_cubic(u: FourierField, sigma: float) -> FourierField:

@@ -124,7 +124,11 @@ class ModeLattice:
 
 @dataclass
 class FourierField:
-    """A complex field given by its coefficients on a ModeLattice."""
+    """A complex field given by its coefficients on a ModeLattice.
+
+    `coeffs` has shape (..., n_modes): leading axes, if any, index a stack
+    of fields that the batched transforms and drifts treat row by row.
+    """
 
     lattice: ModeLattice
     coeffs: np.ndarray = field(default=None)
@@ -134,7 +138,7 @@ class FourierField:
             self.coeffs = np.zeros(self.lattice.n_modes, dtype=np.complex128)
         else:
             self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-            if self.coeffs.shape != (self.lattice.n_modes,):
+            if self.coeffs.shape[-1:] != (self.lattice.n_modes,):
                 raise ValueError("coefficient array does not match lattice")
 
     def copy(self) -> "FourierField":

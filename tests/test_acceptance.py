@@ -205,12 +205,14 @@ def test_criterion_07_inviscid_limit():
     d = rep["mean_distances"]
     ratio = d[-1] / d[0]
     ok = bool(rep["passed"] and dt < 900.0)
-    # evidence: even the pure linear noise response floors the ratio near
-    # 0.5 at these parameters (high modes reach near-stationary variance
-    # already at the smallest damping), so the 0.3 contraction gate is not
-    # attainable; the distances and the monotone gate are reported above
+    # evidence: for the linear flow alone the closed-form distance at T,
+    # sqrt(2 sum <n>^{2s-2} (1 - e^{-gamma T <n>^2})), already falls only
+    # to about 0.42 of its largest-gamma value at the smallest gamma on
+    # this grid (report key linear_floor), above the 0.3 contraction gate;
+    # the distances and the monotone gate are reported as well
     _report(7, ok, f"monotone {rep['monotone_within_slack']}, "
-                   f"D ratio {ratio:.2f} (gate 0.30), "
+                   f"D ratio {ratio:.2f} (gate 0.30, linear floor "
+                   f"{rep['linear_floor']['ratio']:.2f}), "
                    f"distances {['%.2f' % x for x in d]}, {dt:.0f}s")
     assert ok
 

@@ -6,6 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from torus_phi4 import (DynamicsConfig, FourierField, ModeLattice, NoisePath,
+                        evolve, linear_distance, mass, mode_variance_sum,
+                        sample_gff, sample_gibbs_pcn_chains, wick_potential)
 from torus_phi4.cli import main
 from torus_phi4.experiments import (config_hash, load_config, write_report,
                                     cmd_invariance, cmd_inviscid,
@@ -136,3 +139,83 @@ def test_cli_exit_two_on_mass_blowup(tmp_path, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and "mass blow-up at step" in lines[0]
     assert not (tmp_path / "out" / "invariance.json").exists()
+
+
+# -- lockstep commands against their per-member oracles ----------------------
+# The oracles are the commands' former bodies: one `evolve` run per member
+# (and per gamma), with each member's path from NoisePath.generate.
+
+def _inviscid_oracle(cfg, seed):
+    lattice = ModeLattice(cfg["n_cut"])
+    wt = lattice.brackets.astype(float) ** (2.0 * cfg["s_metric"])
+    gammas, ens = cfg["gammas"], cfg["ensemble"]
+    dists = np.zeros((ens, len(gammas)))
+    for m in range(ens):
+        path_seed = int(np.random.SeedSequence([seed, 7, m]).generate_state(1)[0])
+        path = NoisePath.generate(lattice, cfg["horizon"], cfg["n_steps"], path_seed)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 8, m]))
+        phi = FourierField(lattice, cfg["amplitude"] * sample_gff(lattice, rng).coeffs)
+        ref = evolve(phi, path, DynamicsConfig(0.0, cfg["n_cut"],
+                                               cfg["renormalization"]))
+        for j, g in enumerate(gammas):
+            traj = evolve(phi, path, DynamicsConfig(float(g), cfg["n_cut"],
+                                                    cfg["renormalization"]))
+            diff2 = (np.abs(traj.coeffs - ref.coeffs) ** 2 * wt[None, :]).sum(axis=1)
+            dists[m, j] = np.sqrt(diff2.max())
+    return dists.mean(axis=0), dists.std(axis=0, ddof=1) / np.sqrt(ens)
+
+
+@pytest.mark.parametrize("renormalization", ["wick", "dynamic"])
+def test_inviscid_equals_per_member_oracle(renormalization):
+    cfg = {"n_cut": 3, "ensemble": 3, "horizon": 0.1, "n_steps": 40,
+           "gammas": [0.5, 0.1, 0.02], "s_metric": -0.25, "amplitude": 0.7,
+           "renormalization": renormalization}
+    rep = cmd_inviscid(dict(cfg), seed=4)
+    mean_d, se_d = _inviscid_oracle(cfg, seed=4)
+    assert rep["mean_distances"] == mean_d.tolist()
+    assert rep["stderr"] == se_d.tolist()
+    for key in ("n_steps", "renormalization", "s_metric", "amplitude"):
+        assert rep[key] == cfg[key]
+    floor = [linear_distance(ModeLattice(3), g, 0.1, -0.25, 0.7) for g in cfg["gammas"]]
+    assert rep["linear_floor"] == {"distances": floor, "ratio": floor[-1] / floor[0]}
+
+
+def _invariance_oracle(cfg, seed):
+    n_cut, ens, n_steps = cfg["n_cut"], cfg["ensemble"], cfg["n_steps"]
+    lattice = ModeLattice(n_cut)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    pcn = sample_gibbs_pcn_chains(lattice, "wick", ens, rng, beta=cfg["beta"],
+                                  n_steps=cfg["chain_steps"])
+    dyn = DynamicsConfig(cfg["gamma"], n_cut, "wick")
+    checkpoints = (0, n_steps // 2, n_steps)
+    obs = np.empty((3, ens, lattice.n_modes + 2))
+    for m in range(ens):
+        sd = int(np.random.SeedSequence([seed, 202, m]).generate_state(1)[0])
+        path = NoisePath.generate(lattice, cfg["horizon"], n_steps, seed=sd)
+        traj = evolve(pcn.fields[m], path, dyn)
+        for j, k in enumerate(checkpoints):
+            u = FourierField(lattice, traj.coeffs[k])
+            obs[j, m, :lattice.n_modes] = np.abs(u.coeffs) ** 2
+            obs[j, m, -2] = wick_potential(u, n_cut)
+            obs[j, m, -1] = mass(u)
+    zs = []
+    for j in (1, 2):
+        diff = obs[j] - obs[0]
+        se = diff.std(axis=0, ddof=1) / np.sqrt(ens)
+        zs.append(np.where(se > 0, diff.mean(axis=0) / np.maximum(se, 1e-300), 0.0))
+    return np.concatenate(zs), pcn.acceptance_rate
+
+
+def test_invariance_equals_per_member_oracle(tmp_path):
+    cfg = {"n_cut": 2, "ensemble": 5, "chain_steps": 60, "beta": 0.2,
+           "n_steps": 21, "horizon": 0.1, "gamma": 0.5}
+    rep = cmd_invariance(dict(cfg), seed=6, out_dir=tmp_path)
+    z, acceptance = _invariance_oracle(cfg, seed=6)
+    with open(tmp_path / "invariance_zscores.csv") as fh:
+        got = [float(r["z"]) for r in csv.DictReader(fh)]
+    assert got == z.tolist()
+    assert rep["worst_abs_z"] == float(np.abs(z).max())
+    assert rep["acceptance_rate"] == acceptance
+    for key in ("n_steps", "chain_steps", "beta"):
+        assert rep[key] == cfg[key]
+    assert rep["sigma"] == mode_variance_sum(2)

@@ -17,7 +17,10 @@ from torus_phi4 import (
     evolve,
     extract_remainder,
     gauge_phase,
+    linear_distance,
     linear_evolution,
+    lockstep,
+    lockstep_increments,
     mass,
     mode_variance_sum,
     picard_remainder,
@@ -264,3 +267,93 @@ def test_evolve_raises_on_blowup():
     assert isinstance(info.value, MassBlowUpError)
     assert 0 <= info.value.step < path.n_steps
     assert info.value.mass > MASS_BLOWUP_LIMIT
+    assert info.value.member == 0
+
+
+def _lockstep_run(lat, phi, seeds, gammas, n_steps, **kw):
+    """States of a (gamma, member) stack, shape (n_steps + 1, G, B, K)."""
+    cfg = DynamicsConfig(gamma=np.asarray(gammas)[:, None], n_trunc=lat.n_cut, **kw)
+    incs = lockstep_increments(lat, 0.2, n_steps, seeds)
+    return np.stack(list(lockstep(FourierField(lat, phi), incs, 0.2 / n_steps, cfg)))
+
+
+@pytest.mark.parametrize("renormalization", ["wick", "dynamic"])
+@pytest.mark.parametrize("nonlinearity_on, noise_on",
+                         [(True, True), (False, True), (True, False)])
+def test_lockstep_rows_equal_one_row_evolve(renormalization, nonlinearity_on, noise_on):
+    lat = ModeLattice(3)
+    rng = np.random.default_rng(21)
+    n_steps, seeds = 12, [3, 40, 41]
+    phi = np.stack([0.5 * _gff(3, 30 + m).coeffs for m in range(len(seeds))])
+    gammas = np.where(rng.random(5) < 0.4, 0.0, rng.uniform(0.05, 1.0, 5))
+    gammas[:2] = (0.0, 0.3)  # both branches, whatever the draw
+    kw = dict(renormalization=renormalization, nonlinearity_on=nonlinearity_on,
+              noise_on=noise_on)
+    states = _lockstep_run(lat, phi, seeds, gammas, n_steps, **kw)
+    assert states.shape == (n_steps + 1, len(gammas), len(seeds), lat.n_modes)
+    for m, sd in enumerate(seeds):
+        path = NoisePath.generate(lat, 0.2, n_steps, seed=sd)
+        for j, g in enumerate(gammas):
+            traj = evolve(FourierField(lat, phi[m]), path,
+                          DynamicsConfig(float(g), lat.n_cut, **kw))
+            np.testing.assert_array_equal(states[:, j, m], traj.coeffs)
+
+
+def test_lockstep_rows_equal_evolve_on_a_large_stack():
+    # 24 undamped rows of 30 x 30 grid values pass the 256 KB at which
+    # numpy starts reusing temporaries, so the batched elementwise work
+    # must not depend on the stack's size
+    lat = ModeLattice(8)
+    seeds = list(range(24))
+    phi = np.stack([_gff(8, 60 + m).coeffs for m in seeds])
+    states = _lockstep_run(lat, phi, seeds, [0.0, 0.25], 3, renormalization="wick")
+    for m, sd in enumerate(seeds):
+        path = NoisePath.generate(lat, 0.2, 3, seed=sd)
+        for j, g in enumerate((0.0, 0.25)):
+            traj = evolve(FourierField(lat, phi[m]), path,
+                          DynamicsConfig(g, lat.n_cut, "wick"))
+            np.testing.assert_array_equal(states[:, j, m], traj.coeffs)
+
+
+def test_lockstep_names_the_blown_up_row():
+    lat = ModeLattice(2)
+    phi = np.stack([0.1 * _gff(2, 50).coeffs,
+                    1e5 * np.ones(lat.n_modes, dtype=complex),
+                    0.1 * _gff(2, 51).coeffs])
+    cfg = DynamicsConfig(gamma=np.array([0.0, 1.0, 1.0]), n_trunc=2)
+    incs = lockstep_increments(lat, 0.1, 10, [1, 2, 3])
+    with pytest.raises(MassBlowUpError) as info:
+        for _ in lockstep(FourierField(lat, phi), incs, 0.01, cfg):
+            pass
+    assert info.value.member == 1
+    assert "in member 1" in str(info.value)
+    assert 0 <= info.value.step < 10
+    assert info.value.mass > MASS_BLOWUP_LIMIT
+    # the other rows alone run to the end
+    calm = FourierField(lat, phi[[0, 2]])
+    cfg.gamma = np.array([0.0, 1.0])
+    states = list(lockstep(calm, lockstep_increments(lat, 0.1, 10, [1, 3]), 0.01, cfg))
+    assert len(states) == 11 and np.all(np.isfinite(states[-1]))
+
+
+def test_linear_distance_matches_monte_carlo():
+    # GFF data evolved linearly at gamma and at 0 from the same data and
+    # path; the distance at T against its closed form
+    lat = ModeLattice(4)
+    horizon, s, n_mc = 1.0, -0.25, 800
+    wt = lat.brackets ** (2.0 * s)
+    for gamma, amp in ((0.5, 1.0), (0.0625, 1.0), (0.25, 0.5)):
+        d2 = np.empty(n_mc)
+        for i in range(n_mc):
+            phi = FourierField(lat, amp * _gff(4, 10_000 + i).coeffs)
+            path = NoisePath.generate(lat, horizon, 4, seed=20_000 + i)
+            diff = (linear_evolution(phi, path, gamma).coeffs[-1]
+                    - linear_evolution(phi, path, 0.0).coeffs[-1])
+            d2[i] = np.sum(wt * np.abs(diff) ** 2)
+        target = linear_distance(lat, gamma, horizon, s, amp) ** 2
+        z = (d2.mean() - target) / (d2.std(ddof=1) / np.sqrt(n_mc))
+        assert abs(z) < 4.5, (gamma, amp, d2.mean(), target)
+    q = lat.brackets**2
+    closed = np.sqrt(2.0 * np.sum(q ** (s - 1.0) * -np.expm1(-0.5 * horizon * q)))
+    assert linear_distance(lat, 0.5, horizon, s) == pytest.approx(closed, rel=1e-14)
+    assert linear_distance(lat, 0.0, horizon, s) == 0.0

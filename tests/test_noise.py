@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torus_phi4 import ModeLattice, NoisePath
+from torus_phi4 import ModeLattice, NoisePath, lockstep_increments, noise
 
 
 def test_generate_shapes_and_grid():
@@ -21,6 +21,20 @@ def test_generate_reproducible():
     c = NoisePath.generate(lat, 1.0, 16, seed=12)
     np.testing.assert_array_equal(a.increments, b.increments)
     assert np.any(a.increments != c.increments)
+
+
+@pytest.mark.parametrize("entries", [27, 81, 189, 540, 2**17])
+def test_lockstep_increments_equal_generated_paths(monkeypatch, entries):
+    # blocks of 1, 3, 7, 20 and all 20 steps of three 9-mode paths: blocks
+    # that divide the steps, that do not, and one that holds them all
+    lat = ModeLattice(2)
+    seeds = [5, 17, 2**31 + 3]
+    monkeypatch.setattr(noise, "BLOCK_ENTRIES", entries)
+    got = np.stack(list(lockstep_increments(lat, 0.5, 20, seeds)))
+    want = np.stack([NoisePath.generate(lat, 0.5, 20, s).increments
+                     for s in seeds], axis=1)
+    assert got.shape == (20, len(seeds), lat.n_modes)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_increment_statistics():
