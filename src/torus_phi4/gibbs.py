@@ -188,17 +188,21 @@ def sample_gibbs_pcn_chains(
     else:
         raise ValueError("potential must be 'quartic' or 'wick'")
 
-    inv_br = 1.0 / lattice.brackets
+    scale = 1.0 / (np.sqrt(2.0) * lattice.brackets)
+    points = lattice.M**2
 
     def draw(n):
-        g = rng.standard_normal((n, lattice.n_modes, 2))
-        return (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0) * inv_br
+        g = rng.standard_normal((n, lattice.n_modes, 2)).view(np.complex128)
+        return g[..., 0] * scale
 
     def moments(c):
-        w = lattice.to_grid(c)
-        m2 = np.sum(np.abs(c) ** 2, axis=1)
-        m4 = np.mean(np.abs(w) ** 4, axis=(-2, -1))
-        return m2, m4
+        a = np.abs(c)
+        a *= a
+        m2 = a.sum(axis=1)
+        a = np.abs(lattice.to_grid(c))
+        a *= a
+        a *= a
+        return m2, a.sum(axis=(-2, -1)) / points
 
     u = draw(n_chains)
     phi_u = phi(*moments(u))

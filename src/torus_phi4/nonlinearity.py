@@ -57,7 +57,10 @@ def quartic_mean(u: FourierField) -> float:
 def _cube(lat: ModeLattice, c: np.ndarray) -> np.ndarray:
     """Coefficients of |u|^2 u for u with coefficients c[..., n_modes] (alias-free)."""
     w = lat.to_grid(c)
-    return lat.from_grid(np.abs(w) ** 2 * w)
+    a = np.abs(w)
+    a *= a
+    w *= a
+    return lat.from_grid(w)
 
 
 def cubic(u: FourierField) -> FourierField:

@@ -8,7 +8,9 @@ of |u_hat(n)|^2 (Plancherel with the normalized measure).
 
 The attached physical grid has M >= 4*n_max + 1 points per direction, so
 grid products of up to four lattice fields are alias-free on the retained
-modes.  All transforms are exact up to floating point roundoff.
+modes.  All transforms are exact up to floating point roundoff.  They are
+band-pruned: only the 2*n_max + 1 grid columns whose y-frequency can hold
+a retained mode enter the x-pass, which is about half of the M columns.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ class ModeLattice:
             self.n_modes
         )
         self._lookup = tbl
-        # scatter/gather index of the retained modes on the M x M grid
-        self._grid_index = (self.modes[:, 0] % self.M, self.modes[:, 1] % self.M)
+        # scatter/gather index of the retained modes on the (M, side) band
+        # of y-frequencies -n_max..n_max, stored in FFT order 0..n_max, -n_max..-1
+        self._band_index = (self.modes[:, 0] % self.M) * side + self.modes[:, 1] % side
 
     def index_of(self, n) -> np.ndarray:
         """Indices of modes `n` (shape (...,2)); -1 where not retained."""
@@ -102,18 +105,29 @@ class ModeLattice:
         """Grid values u(x_j) = sum_n u_hat(n) e^{i n.x_j} of c[..., n_modes].
 
         Leading axes are a batch; the result has shape c.shape[:-1] + (M, M).
+        The x-pass runs on the band columns only; the y-pass on every row.
         """
-        spec = np.zeros(coeffs.shape[:-1] + (self.M, self.M), dtype=np.complex128)
-        spec[..., self._grid_index[0], self._grid_index[1]] = coeffs
-        return ifft2(spec, axes=(-2, -1)) * self.M**2
+        lead, M, lo = coeffs.shape[:-1], self.M, self.n_max + 1
+        band = np.zeros(lead + (M * (2 * self.n_max + 1),), dtype=np.complex128)
+        band[..., self._band_index] = coeffs
+        band = ifft2(band.reshape(lead + (M, -1)), axes=(-2,), norm="forward",
+                     overwrite_x=True)
+        grid = np.zeros(lead + (M, M), dtype=np.complex128)
+        grid[..., :lo] = band[..., :lo]
+        grid[..., M - self.n_max:] = band[..., lo:]
+        return ifft2(grid, axes=(-1,), norm="forward", overwrite_x=True)
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of grid values w[..., M, M].
 
-        Exact for band-limited data; the inverse of to_grid.
+        Exact for band-limited data; the inverse of to_grid.  The y-pass
+        runs on every row, the x-pass on the band columns only.
         """
-        spec = fft2(values, axes=(-2, -1))
-        return spec[..., self._grid_index[0], self._grid_index[1]] / self.M**2
+        M, lo = self.M, self.n_max + 1
+        spec = fft2(values, axes=(-1,), norm="forward")
+        band = np.concatenate((spec[..., :lo], spec[..., M - self.n_max:]), axis=-1)
+        band = fft2(band, axes=(-2,), norm="forward", overwrite_x=True)
+        return band.reshape(band.shape[:-2] + (-1,))[..., self._band_index]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeLattice) and other.n_cut == self.n_cut

@@ -122,6 +122,7 @@ def test_criterion_02_conservation():
 # 3. finite-cutoff Gibbs invariance under the damped-driven flow
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_03_gibbs_invariance():
     t0 = time.time()
     rep = cmd_invariance({}, seed=1)
@@ -136,6 +137,7 @@ def test_criterion_03_gibbs_invariance():
 # 4. weight moments: L^4 bound and Cauchy decay of successive differences
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_04_exponential_moments():
     rep = check_exponential_moments(n_cuts=(4, 8, 16, 32), n_samples=10_000,
                                     seed=0)
@@ -198,6 +200,7 @@ def test_criterion_06_gauge_equivalence():
 # 7. inviscid limit: coupled-seed distance decay along the damping grid
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_inviscid_limit():
     t0 = time.time()
     rep = cmd_inviscid({}, seed=0)
@@ -221,6 +224,7 @@ def test_criterion_07_inviscid_limit():
 # 8. multilinear smoothing: lattice-size growth of object norms
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_multilinear_smoothing():
     t0 = time.time()
     rep = cmd_smoothing({}, seed=0)
@@ -240,6 +244,7 @@ def test_criterion_08_multilinear_smoothing():
 # 9. lattice counting bound with uniform fitted constant
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_counting():
     t0 = time.time()
     rep = _SUITES["counting"](0)
@@ -255,6 +260,7 @@ def test_criterion_09_counting():
 # 10. tensor norms: dense-SVD certification and flat bound constants
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_10_tensor_bounds():
     worst = 0.0
     for shells in ((1, 1, 1), (2, 2, 1)):
@@ -367,6 +373,7 @@ def test_criterion_12_chaos_suite():
 # 13. Picard fixed point for the remainder equation
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_13_picard():
     rep = _SUITES["picard"](0)
     ok = bool(rep["passed"])

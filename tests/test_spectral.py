@@ -1,9 +1,12 @@
 import json
 
 import numpy as np
+import numpy.fft
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from torus_phi4 import spectral
 from torus_phi4.spectral import (bracket, ModeLattice, FourierField,
                                  project_leq, project_shell, sobolev_norm,
                                  sup_mode_norm, save_snapshot, load_snapshot)
@@ -54,6 +57,87 @@ def test_transform_roundtrip_exact():
     for row, f in zip(grid, fields):
         assert np.max(np.abs(row - f.to_physical())) < 1e-12
     assert np.max(np.abs(lat.from_grid(grid) - stack)) < 1e-13
+
+
+def _edge_and_random_stack(lat, rng):
+    """A (2, 4, K) stack: four random fields, then the four band-edge modes
+    (+-n_max, 0) and (0, +-n_max) alone with unit coefficient."""
+    c = np.zeros((2, 4, lat.n_modes), dtype=np.complex128)
+    c[0] = rng.standard_normal((4, lat.n_modes)) + 1j * rng.standard_normal((4, lat.n_modes))
+    m = lat.n_max
+    for row, n in enumerate([(m, 0), (-m, 0), (0, m), (0, -m)]):
+        c[1, row, lat.index_of(np.array(n))] = 1.0
+    return c
+
+
+@pytest.mark.parametrize("n_cut", [1, 1.5, 2, 4, 8, 16])
+def test_to_grid_matches_explicit_sum(n_cut):
+    # n_max = 0, 1, 1, 3, 7, 15 and M = 1, 5, 5, 14, 30, 64: odd and even grids
+    lat = ModeLattice(n_cut)
+    c = _edge_and_random_stack(lat, np.random.default_rng(int(4 * n_cut)))
+    x = 2.0 * np.pi * np.arange(lat.M) / lat.M
+    ex = np.exp(1j * np.outer(x, lat.modes[:, 0]))  # (M, K)
+    ey = np.exp(1j * np.outer(x, lat.modes[:, 1]))
+    oracle = np.einsum("...k,jk,lk->...jl", c, ex, ey)
+    grid = lat.to_grid(c)
+    assert grid.shape == (2, 4, lat.M, lat.M)
+    scale = np.abs(c).sum(axis=-1)[..., None, None]
+    assert np.all(np.abs(grid - oracle) <= 1e-13 * scale)
+    assert np.max(np.abs(lat.from_grid(grid) - c)) < 1e-13
+
+
+@pytest.mark.parametrize("n_cut", [1, 1.5, 2, 4, 8, 16])
+def test_from_grid_reads_full_transform_at_modes(n_cut):
+    # a grid that is not band-limited: the pruned forward pass may drop
+    # only columns that no retained mode reads
+    lat = ModeLattice(n_cut)
+    rng = np.random.default_rng(int(4 * n_cut) + 1)
+    w = rng.standard_normal((2, 3, lat.M, lat.M)) + 1j * rng.standard_normal((2, 3, lat.M, lat.M))
+    full = numpy.fft.fft2(w) / lat.M**2
+    oracle = full[..., lat.modes[:, 0] % lat.M, lat.modes[:, 1] % lat.M]
+    assert np.max(np.abs(lat.from_grid(w) - oracle)) < 1e-13
+
+
+def test_transforms_call_only_module_fft2_ifft2(monkeypatch):
+    # perfbench/tracer.py times the transform core by replacing the module
+    # globals spectral.fft2 and spectral.ifft2; every pass must go through them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transform core called an FFT entry point other "
+                             "than spectral.fft2/ifft2")
+
+    for mod in (scipy.fft, numpy.fft):
+        for fn in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            monkeypatch.setattr(mod, fn, forbidden)
+    lat = ModeLattice(4)
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(x, *args, **kwargs):
+            calls.append((name, kwargs.get("axes")))
+            return fn(x, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectral, "fft2", counting("fft2", spectral.fft2))
+    monkeypatch.setattr(spectral, "ifft2", counting("ifft2", spectral.ifft2))
+    c = np.random.default_rng(7).standard_normal((3, lat.n_modes)) + 0j
+    grid = lat.to_grid(c)
+    assert calls == [("ifft2", (-2,)), ("ifft2", (-1,))]
+    calls.clear()
+    assert np.max(np.abs(lat.from_grid(grid) - c)) < 1e-13
+    assert calls == [("fft2", (-1,)), ("fft2", (-2,))]
+
+    # with both globals replaced by the identity, no transform is left:
+    # to_grid is a bare scatter onto the grid and from_grid a bare gather
+    def identity(x, *args, **kwargs):
+        return np.array(x, copy=True)
+
+    monkeypatch.setattr(spectral, "fft2", identity)
+    monkeypatch.setattr(spectral, "ifft2", identity)
+    ix, iy = lat.modes[:, 0] % lat.M, lat.modes[:, 1] % lat.M
+    spread = np.zeros((3, lat.M, lat.M), dtype=np.complex128)
+    spread[:, ix, iy] = c
+    assert np.array_equal(lat.to_grid(c), spread)
+    assert np.array_equal(lat.from_grid(grid), grid[:, ix, iy])
 
 
 def test_single_mode_physical_values():
