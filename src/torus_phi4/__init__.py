@@ -12,8 +12,7 @@ seeded experiment harness with a command-line front end.
 __version__ = "0.1.0"
 
 from .spectral import (bracket, ModeLattice, FourierField, project_leq,
-                       project_shell, sobolev_norm, sup_mode_norm,
-                       save_snapshot, load_snapshot)
+                       sobolev_norm, save_snapshot, load_snapshot)
 from .nonlinearity import (mass, quartic_mean, cubic, resonant, nonpairing,
                            renormalized_cubic, wick_cubic, conserved_energy,
                            oracle_trilinear, TrilinearSpec)

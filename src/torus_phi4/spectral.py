@@ -8,9 +8,10 @@ of |u_hat(n)|^2 (Plancherel with the normalized measure).
 
 The attached physical grid has M >= 4*n_max + 1 points per direction, so
 grid products of up to four lattice fields are alias-free on the retained
-modes.  All transforms are exact up to floating point roundoff.  They are
-band-pruned: only the 2*n_max + 1 grid columns whose y-frequency can hold
-a retained mode enter the x-pass, which is about half of the M columns.
+modes.  All transforms are exact up to floating point roundoff.  Grids of
+up to DFT_MATRIX_MAX_M points a side transform by two dense DFT products per
+field, with no FFT call; larger ones by band-pruned FFTs, in which only the
+2*n_max + 1 grid columns that can hold a retained mode enter the x-pass.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ __all__ = [
     "ModeLattice",
     "FourierField",
     "project_leq",
-    "project_shell",
     "sobolev_norm",
-    "sup_mode_norm",
     "save_snapshot",
     "load_snapshot",
 ]
 
 FORMAT_VERSION = "torus-phi4/field-v1"
+
+DFT_MATRIX_MAX_M = 64  # largest grid side transformed by DFT matrices, not FFTs
 
 
 def bracket(n) -> np.ndarray:
@@ -78,9 +79,15 @@ class ModeLattice:
             self.n_modes
         )
         self._lookup = tbl
-        # scatter/gather index of the retained modes on the (M, side) band
-        # of y-frequencies -n_max..n_max, stored in FFT order 0..n_max, -n_max..-1
-        self._band_index = (self.modes[:, 0] % self.M) * side + self.modes[:, 1] % side
+        # Small grids transform by F[j, k] = e^{i k x_j} and conj(F)/M on a
+        # (side, side) block, larger ones by FFTs on an (M, side) band; both hold
+        # the frequencies -n_max..n_max in FFT order 0..n_max, -n_max..-1.
+        self._dft, self._band_shape = None, (self.M, side)
+        if self.M <= DFT_MATRIX_MAX_M:
+            k = np.roll(coords, -n_max)
+            f = np.exp(2j * np.pi / self.M * np.outer(np.arange(self.M), k))
+            self._dft, self._band_shape = (f, f.conj() / self.M), (side, side)
+        self._band_index = np.ravel_multi_index((self.modes % self._band_shape).T, self._band_shape)
 
     def index_of(self, n) -> np.ndarray:
         """Indices of modes `n` (shape (...,2)); -1 where not retained."""
@@ -105,13 +112,15 @@ class ModeLattice:
         """Grid values u(x_j) = sum_n u_hat(n) e^{i n.x_j} of c[..., n_modes].
 
         Leading axes are a batch; the result has shape c.shape[:-1] + (M, M).
-        The x-pass runs on the band columns only; the y-pass on every row.
+        Small grids: F B F^T on each field's frequency block B.  Large grids:
+        the x-pass runs on the band columns only, the y-pass on every row.
         """
         lead, M, lo = coeffs.shape[:-1], self.M, self.n_max + 1
-        band = np.zeros(lead + (M * (2 * self.n_max + 1),), dtype=np.complex128)
-        band[..., self._band_index] = coeffs
-        band = ifft2(band.reshape(lead + (M, -1)), axes=(-2,), norm="forward",
-                     overwrite_x=True)
+        band = np.zeros(lead + self._band_shape, dtype=np.complex128)
+        band.reshape(lead + (-1,))[..., self._band_index] = coeffs
+        if self._dft is not None:
+            return self._dft[0] @ (band @ self._dft[0].T)
+        band = ifft2(band, axes=(-2,), norm="forward", overwrite_x=True)
         grid = np.zeros(lead + (M, M), dtype=np.complex128)
         grid[..., :lo] = band[..., :lo]
         grid[..., M - self.n_max:] = band[..., lo:]
@@ -120,13 +129,17 @@ class ModeLattice:
     def from_grid(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of grid values w[..., M, M].
 
-        Exact for band-limited data; the inverse of to_grid.  The y-pass
-        runs on every row, the x-pass on the band columns only.
+        Exact for band-limited data; the inverse of to_grid.  Small grids:
+        conj(F)^T w conj(F) / M^2.  Large grids: the y-pass runs on every row,
+        the x-pass on the band columns only.
         """
         M, lo = self.M, self.n_max + 1
-        spec = fft2(values, axes=(-1,), norm="forward")
-        band = np.concatenate((spec[..., :lo], spec[..., M - self.n_max:]), axis=-1)
-        band = fft2(band, axes=(-2,), norm="forward", overwrite_x=True)
+        if self._dft is not None:
+            band = self._dft[1].T @ (values @ self._dft[1])
+        else:
+            spec = fft2(values, axes=(-1,), norm="forward")
+            band = np.concatenate((spec[..., :lo], spec[..., M - self.n_max:]), axis=-1)
+            band = fft2(band, axes=(-2,), norm="forward", overwrite_x=True)
         return band.reshape(band.shape[:-2] + (-1,))[..., self._band_index]
 
     def __eq__(self, other) -> bool:
@@ -185,22 +198,10 @@ def project_leq(u: FourierField, n_cut: float) -> FourierField:
     return FourierField(u.lattice, np.where(mask, u.coeffs, 0.0))
 
 
-def project_shell(u: FourierField, n_lo: float) -> FourierField:
-    """Sharp projection onto the dyadic shell n_lo <= <n> < 2*n_lo."""
-    b = u.lattice.brackets
-    mask = (b >= n_lo - 1e-12) & (b < 2.0 * n_lo - 1e-12)
-    return FourierField(u.lattice, np.where(mask, u.coeffs, 0.0))
-
-
 def sobolev_norm(u: FourierField, s: float) -> float:
     """H^s norm: sqrt(sum <n>^{2s} |u_hat(n)|^2)."""
     w = u.lattice.brackets ** (2.0 * s)
     return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
-
-
-def sup_mode_norm(u: FourierField, s: float) -> float:
-    """Weighted sup norm: max_n <n>^s |u_hat(n)|."""
-    return float(np.max(u.lattice.brackets**s * np.abs(u.coeffs)))
 
 
 def save_snapshot(u: FourierField, path: str, metadata: dict | None = None) -> None:

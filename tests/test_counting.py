@@ -154,7 +154,8 @@ def _dense_norm(t, rows):
     return float(np.linalg.svd(_dense_flattening(t, rows), compute_uv=False)[0])
 
 
-@pytest.mark.parametrize("shells", [(1, 1, 1), (2, 1, 1), (2, 2, 1)])
+@pytest.mark.parametrize("shells", [(1, 1, 1), (2, 1, 1),
+                                    pytest.param((2, 2, 1), marks=pytest.mark.slow)])
 def test_fiber_norm_sup_matches_per_level_and_dense_svd(shells):
     t = build_tensor(shells)
     sups = fiber_norm_sup(t)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from torus_phi4 import spectral
 from torus_phi4.spectral import (bracket, ModeLattice, FourierField,
-                                 project_leq, project_shell, sobolev_norm,
-                                 sup_mode_norm, save_snapshot, load_snapshot)
+                                 project_leq, sobolev_norm, save_snapshot,
+                                 load_snapshot)
 
 
 def random_field(lattice, rng, decay=1.0):
@@ -70,9 +70,14 @@ def _edge_and_random_stack(lat, rng):
     return c
 
 
-@pytest.mark.parametrize("n_cut", [1, 1.5, 2, 4, 8, 16])
+# n_max = 0, 1, 1, 3, 7, 15, 16 and M = 1, 5, 5, 14, 30, 63, 66: odd and even
+# grids; n_cut = 16 is the largest lattice transformed by DFT matrices and
+# 16.04 the smallest transformed by FFTs
+SWITCH_SIDES = (16, 16.04)
+
+
+@pytest.mark.parametrize("n_cut", [1, 1.5, 2, 4, 8, *SWITCH_SIDES])
 def test_to_grid_matches_explicit_sum(n_cut):
-    # n_max = 0, 1, 1, 3, 7, 15 and M = 1, 5, 5, 14, 30, 64: odd and even grids
     lat = ModeLattice(n_cut)
     c = _edge_and_random_stack(lat, np.random.default_rng(int(4 * n_cut)))
     x = 2.0 * np.pi * np.arange(lat.M) / lat.M
@@ -86,7 +91,7 @@ def test_to_grid_matches_explicit_sum(n_cut):
     assert np.max(np.abs(lat.from_grid(grid) - c)) < 1e-13
 
 
-@pytest.mark.parametrize("n_cut", [1, 1.5, 2, 4, 8, 16])
+@pytest.mark.parametrize("n_cut", [1, 1.5, 2, 4, 8, *SWITCH_SIDES])
 def test_from_grid_reads_full_transform_at_modes(n_cut):
     # a grid that is not band-limited: the pruned forward pass may drop
     # only columns that no retained mode reads
@@ -100,7 +105,8 @@ def test_from_grid_reads_full_transform_at_modes(n_cut):
 
 def test_transforms_call_only_module_fft2_ifft2(monkeypatch):
     # perfbench/tracer.py times the transform core by replacing the module
-    # globals spectral.fft2 and spectral.ifft2; every pass must go through them
+    # globals spectral.fft2 and spectral.ifft2; on the FFT side of the kernel
+    # switch every pass must go through them
     def forbidden(*args, **kwargs):
         raise AssertionError("transform core called an FFT entry point other "
                              "than spectral.fft2/ifft2")
@@ -108,7 +114,7 @@ def test_transforms_call_only_module_fft2_ifft2(monkeypatch):
     for mod in (scipy.fft, numpy.fft):
         for fn in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
             monkeypatch.setattr(mod, fn, forbidden)
-    lat = ModeLattice(4)
+    lat = ModeLattice(SWITCH_SIDES[1])
     calls = []
 
     def counting(name, fn):
@@ -139,6 +145,14 @@ def test_transforms_call_only_module_fft2_ifft2(monkeypatch):
     assert np.array_equal(lat.to_grid(c), spread)
     assert np.array_equal(lat.from_grid(grid), grid[:, ix, iy])
 
+    # below the switch the DFT matrices do the work: no FFT entry point is reached
+    monkeypatch.setattr(spectral, "fft2", forbidden)
+    monkeypatch.setattr(spectral, "ifft2", forbidden)
+    small = ModeLattice(SWITCH_SIDES[0])
+    assert small.M <= spectral.DFT_MATRIX_MAX_M < lat.M and lat.n_max == small.n_max + 1
+    c = np.random.default_rng(8).standard_normal((3, small.n_modes)) + 0j
+    assert np.max(np.abs(small.from_grid(small.to_grid(c)) - c)) < 1e-13
+
 
 def test_single_mode_physical_values():
     lat = ModeLattice(3)
@@ -167,12 +181,6 @@ def test_projections():
     keep = lat.brackets <= 4 + 1e-12
     assert np.all(low.coeffs[~keep] == 0)
     assert np.allclose(low.coeffs[keep], u.coeffs[keep])
-    # dyadic shells [1,2), [2,4), [4,8) partition the retained ball
-    # (every bracket lies in [1, 8) for this lattice)
-    total = np.zeros_like(u.coeffs)
-    for N in (1, 2, 4):
-        total = total + project_shell(u, N).coeffs
-    assert np.max(np.abs(total - u.coeffs)) < 1e-14
 
 
 def test_sobolev_and_sup_norms():
@@ -181,7 +189,6 @@ def test_sobolev_and_sup_norms():
     c[lat.index_of(np.array([2, 1]))] = 3.0
     u = FourierField(lat, c)
     assert abs(sobolev_norm(u, 1.0) - 3.0 * np.sqrt(6.0)) < 1e-12
-    assert abs(sup_mode_norm(u, 0.5) - 3.0 * 6.0 ** 0.25) < 1e-12
 
 
 def test_snapshot_roundtrip_exact(tmp_path):
