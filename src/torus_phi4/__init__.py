@@ -19,7 +19,7 @@ from .nonlinearity import (mass, quartic_mean, cubic, resonant, nonpairing,
 from .gibbs import (mode_variance_sum, sample_gff, renormalized_potential,
                     wick_potential, wick_action, sample_gibbs_pcn,
                     sample_gibbs_pcn_chains,
-                    check_exponential_moments, save_ensemble, load_ensemble)
+                    check_exponential_moments)
 from .noise import NoisePath, lockstep_increments
 from .flows import (propagator, stochastic_convolution, linear_evolution,
                     DynamicsConfig, Trajectory, evolve, lockstep,
@@ -31,7 +31,7 @@ from .chaos import (hermite, hermite_shift, CellGrid, ChaosKernel,
                     linear_from_paths, cubic_via_chaos,
                     hypercontractivity_ratio)
 from .objects import (ObjectBundle, build_bundle, regularity_scan,
-                      gamma_continuity, write_scan_csv)
+                      write_scan_csv)
 from .xsb import (smooth_bump, trajectory_window,
                   TwistedSpectrum, twisted_transform, xsb_norm,
                   sup_time_sobolev, duhamel_symbol, symbol_decay_sweep,

@@ -11,9 +11,12 @@ counting estimate |S| <~ N2^{1+eps} N3 (N2, N3 the two smallest box
 sizes).
 
 `build_tensor` materializes the 0/1 tensor supported on dyadic-shell
-interactions; its matricization norms (largest singular values of the
-row-group/column-group flattenings) and the corresponding norms of its
-resonance-level fibers are the quantities the tensor estimates bound.
+interactions, as int16 coordinates and int32 levels; its matricization
+norms (largest singular values of the row-group/column-group flattenings)
+and the corresponding norms of its resonance-level fibers are the
+quantities the tensor estimates bound.  Flattenings rank slot modes and
+row/column keys on dense tables, not by sorting; a single-slot side has
+the closed-form norm sqrt(largest entry count of one of its modes).
 """
 
 from __future__ import annotations
@@ -39,11 +42,17 @@ __all__ = [
 ]
 
 SUPPORT_GUARD = 10_000_000  # refuse shell sweeps beyond this many triples
+INT16_MAX = np.iinfo(np.int16).max  # support coordinates are stored as int16
+_SLOTS = ("n", "n1", "n2", "n3")
 
 
 def resonance_phase(n, n1, n2, n3) -> np.ndarray:
-    """kappa = |n|^2 - |n1|^2 + |n2|^2 - |n3|^2 (the brackets' +1s cancel)."""
-    sq = lambda v: np.sum(np.asarray(v) ** 2, axis=-1)
+    """kappa = |n|^2 - |n1|^2 + |n2|^2 - |n3|^2 (the brackets' +1s cancel).
+
+    Computed in int64 whatever the input dtype, so int16 coordinates cannot
+    overflow when squared.
+    """
+    sq = lambda v: np.sum(np.asarray(v, dtype=np.int64) ** 2, axis=-1)
     return sq(n) - sq(n1) + sq(n2) - sq(n3)
 
 
@@ -105,8 +114,10 @@ def count_set(query: CountQuery) -> int:
 class SparseTensor:
     """0/1 tensor on interactions (n; n1, n2, n3), n = n1 - n2 + n3.
 
-    Stored as the integer coordinate arrays of its support; `levels`
-    holds the resonance phase of each support point.
+    Stored as the (nnz, 2) coordinate arrays of its support, int16 as built
+    by `build_tensor`; `levels` (int32) holds the resonance phase of each
+    support point.  Support entries are distinct, so any three slots fix
+    the fourth and the norms may take each entry as a single 1.
     """
 
     n: np.ndarray
@@ -143,6 +154,13 @@ def build_tensor(
     s1, s2, s3 = (_shell(c, n_lo) for c, n_lo in zip(centers, shells))
     if s1.shape[0] * s2.shape[0] * s3.shape[0] > SUPPORT_GUARD:
         raise ValueError("shell volumes exceed the support guard")
+    # every point of the shells, and the box that holds n = n1 - n2 + n3,
+    # must fit the int16 coordinates stored
+    box = (s1.min(0) - s2.max(0) + s3.min(0), s1.max(0) - s2.min(0) + s3.max(0)
+           ) if s1.size and s2.size and s3.size else ()
+    if max(np.abs(v).max(initial=0) for v in (s1, s2, s3, *box)) > INT16_MAX:
+        raise ValueError("mode coordinates beyond the int16 range")
+    s1, s2, s3 = (s.astype(np.int16) for s in (s1, s2, s3))
     # collect int32 shell indices and gather once: no second output copy
     unpaired23 = np.any(s2[:, None, :] != s3[None, :, :], axis=-1)
     index = [np.zeros((3, 0), dtype=np.int32)]
@@ -154,42 +172,90 @@ def build_tensor(
         index.append(np.stack([np.full(i2.size, k), i2, i3]).astype(np.int32))
     i1, i2, i3 = np.concatenate(index, axis=1)
     n1, n2, n3 = s1[i1], s2[i2], s3[i3]
-    n = n1 - n2 + n3
-    return SparseTensor(n, n1, n2, n3, resonance_phase(n, n1, n2, n3))
+    n = n1 - n2 + n3  # int16 wraps modulo 2^16, so n is exact inside its box
+    levels = resonance_phase(n, n1, n2, n3)
+    if np.abs(levels).max(initial=0) > np.iinfo(np.int32).max:
+        raise ValueError("resonance phases beyond the int32 range")
+    return SparseTensor(n, n1, n2, n3, levels.astype(np.int32))
 
 
 def fiber(tensor: SparseTensor, level: int) -> SparseTensor:
     """Restrict the support to interactions with resonance phase == level."""
     keep = tensor.levels == level
-    return SparseTensor(
-        tensor.n[keep],
-        tensor.n1[keep],
-        tensor.n2[keep],
-        tensor.n3[keep],
-        tensor.levels[keep],
-    )
+    return SparseTensor(*(getattr(tensor, f)[keep] for f in _SLOTS + ("levels",)))
 
 
 NORM_TOL = 1e-12  # relative width of the certified interval of an iterated block
+_TABLE_MAX = 1 << 22  # longest key range ranked by a table rather than a sort
 _FAM1 = (("n",), ("n1",), ("n", "n2"), ("n", "n3"))
 _FAM2 = (("n",), ("n", "n1"))
 
 
-def _flatten(tensor: SparseTensor, rows: tuple, level=None) -> tuple:
-    """Row and column index of each entry in the rows x columns flattening."""
-    # scalar keys per (x, y) mode pair, combined across slots on top of the
-    # level index if given: scalar np.unique is far cheaper than row-wise
-    cols = tuple(s for s in ("n", "n1", "n2", "n3") if s not in rows)
-    out = []
-    for slots in (rows, cols):
-        key = np.zeros(tensor.nnz, dtype=np.int64) if level is None else level
-        for s in slots:
-            col = getattr(tensor, s).astype(np.int64, copy=False)
-            off = int(max(np.abs(col).max(initial=0), 1)) + 1
-            span = 2 * off + 1
-            key = key * (span * span) + (col[:, 0] + off) * span + (col[:, 1] + off)
-        out.append(np.unique(key, return_inverse=True)[1].astype(np.int32, copy=False))
-    return tuple(out)
+def _lex_ids(columns, size: int) -> np.ndarray:
+    """Rank (int32) of each of `size` entries among the distinct rows of the
+    integer columns taken together, in lexicographic order.
+
+    The ranks are np.unique's inverse of the rows.  The mixed-radix key of a
+    row over the columns' bounding box is ranked by marking a table over the
+    box and summing it up, with no sort, unless the box is longer than
+    _TABLE_MAX or 8 keys per entry (the table takes 5 bytes a key, a sort
+    about 40 an entry); then np.unique ranks it.
+    """
+    if size == 0:
+        return np.zeros(0, dtype=np.int32)
+    key, span = np.zeros(size, dtype=np.int64), 1
+    for c in columns:
+        lo = int(c.min())
+        width = int(c.max()) - lo + 1
+        if span * width > 1 << 62:  # renumber densely before int64 overflows
+            key = _lex_ids((key,), size).astype(np.int64)
+            span = int(key.max()) + 1
+        key *= width
+        key += c
+        key -= lo
+        span *= width
+    if span > min(_TABLE_MAX, 8 * size):
+        return np.unique(key, return_inverse=True)[1].astype(np.int32)
+    table = np.zeros(span, dtype=bool)
+    table[key] = True
+    table = np.cumsum(table, dtype=np.int32)
+    ids = table[key]
+    ids -= 1
+    return ids
+
+
+def _slot_ranks(tensor: SparseTensor) -> dict:
+    """Per slot, the rank of each entry's mode among the slot's modes."""
+    return {s: _lex_ids(getattr(tensor, s).T, tensor.nnz) for s in _SLOTS}
+
+
+def _flatten(ranks: dict, rows: tuple, per_level: bool = False) -> tuple:
+    """Row and column index of each entry in the rows x columns flattening.
+
+    ranks: `_slot_ranks` of the tensor, plus the level ranks under "level"
+    when per_level, which then lead both keys.  Rows and columns are
+    numbered in the lexicographic order of their modes.
+    """
+    cols = tuple(s for s in _SLOTS if s not in rows)
+    lead = ("level",) if per_level else ()
+    return tuple(_lex_ids([ranks[s] for s in lead + side], ranks["n"].size)
+                 for side in (rows, cols))
+
+
+def _norm(ranks: dict, rows: tuple, per_level: bool = False, tol: float = NORM_TOL
+          ) -> float:
+    """Norm of the rows x columns flattening, block diagonal over the levels
+    when per_level (see `_flatten`)."""
+    cols = tuple(s for s in _SLOTS if s not in rows)
+    if 1 in (len(rows), len(cols)):
+        # the other three slots fix the lone one and entries are distinct,
+        # so each line of the other side holds one entry: the blocks are
+        # stars, one per mode of the lone slot, of norm sqrt(entry count),
+        # the value `_flattening_norm` gives them
+        lone = (("level",) if per_level else ()) + (rows if len(rows) == 1 else cols)
+        ids = _lex_ids([ranks[s] for s in lone], ranks["n"].size)
+        return float(np.sqrt(np.bincount(ids).max(initial=0)))
+    return _flattening_norm(*_flatten(ranks, rows, per_level), tol)
 
 
 def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
@@ -263,15 +329,19 @@ def matricization_norm(
     """Largest singular value of the tensor flattened to rows x columns.
 
     rows: slot names (subset of n, n1, n2, n3); the complement indexes
-    the columns.  Exact (sqrt of an entry count) when a closed-form block
-    wins, else the lower end of a certified interval of relative width
-    `tol` (default 1e-12) around the norm; see `_flattening_norm`.  With
-    certify=True a dense SVD cross-check runs when neither side exceeds
-    2000 and raises AssertionError beyond 1e-10 relative.
+    the columns.  Exact (sqrt of an entry count) when one side is a single
+    slot or a closed-form block wins, else the lower end of a certified
+    interval of relative width `tol` (default 1e-12) around the norm; see
+    `_flattening_norm`.  With certify=True a dense SVD of the full
+    flattening cross-checks the value when neither side exceeds 2000 and
+    raises AssertionError beyond 1e-10 relative.
     """
-    ri, ci = _flatten(tensor, rows)
-    val = _flattening_norm(ri, ci, tol)
-    if certify and max(ri.max(initial=0), ci.max(initial=0)) < 2000:
+    ranks = _slot_ranks(tensor)
+    val = _norm(ranks, rows, tol=tol)
+    if not certify:
+        return val
+    ri, ci = _flatten(ranks, rows)
+    if max(ri.max(initial=0), ci.max(initial=0)) < 2000:
         mat = np.zeros((ri.max(initial=0) + 1, ci.max(initial=0) + 1))
         mat[ri, ci] = 1.0
         dense = float(np.linalg.norm(mat, 2))
@@ -288,7 +358,8 @@ def tensor_norms(tensor: SparseTensor) -> dict:
     norm1: max over row groups {n}, {n1}, {n,n2}, {n,n3}.
     norm2: max over row groups {n}, {n,n1}.
     """
-    vals = {r: matricization_norm(tensor, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
+    ranks = _slot_ranks(tensor)
+    vals = {r: _norm(ranks, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
     vals1, vals2 = ({r: vals[r] for r in fam} for fam in (_FAM1, _FAM2))
     return {"norm1": max(vals1.values()), "norm2": max(vals2.values()),
             "norm1_parts": vals1, "norm2_parts": vals2}
@@ -298,13 +369,13 @@ def fiber_norm_sup(tensor: SparseTensor) -> dict:
     """sup over resonance levels of the fiber norms.
 
     Returns {"norm1": ..., "norm2": ...}, each bit for bit the largest
-    `tensor_norms` value of that name over the fibers.  The level index
+    `tensor_norms` value of that name over the fibers.  The level rank
     leads every row and column key, so each flattening is block diagonal
     over the levels and one call per row group gives the sup.
     """
-    level = np.unique(tensor.levels, return_inverse=True)[1]
-    sup = {r: _flattening_norm(*_flatten(tensor, r, level), NORM_TOL)
-           for r in dict.fromkeys(_FAM1 + _FAM2)}
+    ranks = _slot_ranks(tensor)
+    ranks["level"] = _lex_ids((tensor.levels,), tensor.nnz)
+    sup = {r: _norm(ranks, r, per_level=True) for r in dict.fromkeys(_FAM1 + _FAM2)}
     return {"norm1": max(sup[r] for r in _FAM1),
             "norm2": max(sup[r] for r in _FAM2)}
 

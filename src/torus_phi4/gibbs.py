@@ -26,14 +26,12 @@ targets exactly that when asked for the Wick ensemble.
 from __future__ import annotations
 
 import functools
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nonlinearity import mass, quartic_mean
-from .spectral import FourierField, ModeLattice, load_snapshot, project_leq, save_snapshot
+from .spectral import FourierField, ModeLattice, project_leq
 
 __all__ = [
     "sample_gff",
@@ -46,8 +44,6 @@ __all__ = [
     "sample_gibbs_pcn",
     "sample_gibbs_pcn_chains",
     "check_exponential_moments",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 
@@ -265,27 +261,3 @@ def check_exponential_moments(
         / (2.0 * np.sqrt(np.maximum(diffs, 1e-300))),
         "n_samples": n_samples,
     }
-
-
-def save_ensemble(fields: list, directory: str, manifest: dict) -> None:
-    """Persist an ensemble as one snapshot file per member plus a manifest."""
-    os.makedirs(directory, exist_ok=True)
-    names = []
-    for k, u in enumerate(fields):
-        name = f"member_{k:05d}.json"
-        save_snapshot(u, os.path.join(directory, name))
-        names.append(name)
-    manifest = dict(manifest)
-    manifest["members"] = names
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-
-
-def load_ensemble(directory: str) -> tuple[list, dict]:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    fields = []
-    for name in manifest["members"]:
-        u, _ = load_snapshot(os.path.join(directory, name))
-        fields.append(u)
-    return fields, manifest

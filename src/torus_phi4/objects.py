@@ -36,7 +36,6 @@ __all__ = [
     "ObjectBundle",
     "build_bundle",
     "regularity_scan",
-    "gamma_continuity",
     "write_scan_csv",
 ]
 
@@ -140,49 +139,6 @@ def regularity_scan(
             slope = float("nan")
         out[name] = {"mean_sq": mean, "se": se, "slope": slope}
     return out
-
-
-def gamma_continuity(
-    gammas: tuple,
-    n_cut: float = 16,
-    horizon: float = 0.5,
-    n_steps: int = 512,
-    ensemble: int = 16,
-    s: float = -0.25,
-    seed: int = 0,
-) -> dict:
-    """Distances of the linear ansatz between dissipation values.
-
-    All gammas share the driving path and the data member-by-member
-    (the Ornstein-Uhlenbeck increments are deterministic functions of
-    the path increments), so distances measure continuity in gamma
-    alone.  Reports E sup_t ||.||_{H^s} distances from the smallest
-    gamma and a fitted Holder exponent.
-    """
-    gammas = tuple(sorted(gammas))
-    lattice = ModeLattice(n_cut)
-    dists = np.zeros((len(gammas) - 1, ensemble))
-    for m in range(ensemble):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), m]))
-        phi = sample_gff(lattice, rng)
-        path = NoisePath.generate(lattice, horizon, n_steps, seed * 1000 + m)
-        base = linear_evolution(phi, path, gammas[0]).coeffs
-        w = lattice.brackets ** (2.0 * s)
-        for j, g in enumerate(gammas[1:]):
-            other = linear_evolution(phi, path, g).coeffs
-            d = np.sqrt(np.sum(w * np.abs(other - base) ** 2, axis=1))
-            dists[j, m] = float(np.max(d))
-    gaps = np.asarray(gammas[1:]) - gammas[0]
-    mean = dists.mean(axis=1)
-    expo = float(np.polyfit(np.log(gaps), np.log(mean), 1)[0]) if len(gaps) > 1 else np.nan
-    return {
-        "gammas": gammas,
-        "gaps": gaps,
-        "mean_dist": mean,
-        "se": dists.std(axis=1, ddof=1) / np.sqrt(ensemble),
-        "holder_exponent": expo,
-        "s": s,
-    }
 
 
 def write_scan_csv(scan: dict, path: str) -> None:

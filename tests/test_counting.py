@@ -15,7 +15,8 @@ from torus_phi4 import (
     tensor_norms,
     verify_tensor_bounds,
 )
-from torus_phi4.counting import _flattening_norm
+from torus_phi4.counting import (NORM_TOL, _flatten, _flattening_norm, _lex_ids, _norm,
+                                 _slot_ranks)
 from torus_phi4.spectral import bracket
 
 
@@ -189,15 +190,121 @@ def _assert_near_dense(val, dense, label):
     assert dense * (1.0 - 1e-12) <= val <= dense * (1.0 + 1e-12), (label, val, dense)
 
 
-@pytest.mark.parametrize("seed", [1, 4, 5, 6])
-def test_norms_of_random_shells_match_dense_svd(seed):
-    # random small shells with non-zero centres and an output cap: every
-    # flattening of the tensor and of each of its fibers against a dense SVD
+_RANDOM_SEEDS = [1, 4, 5, 6]
+
+
+def _random_tensor(seed):
+    # small shells with non-zero centres and an output cap
     rng = np.random.default_rng(seed)
     shells = tuple(int(v) for v in rng.choice([1, 2], 3))
     centers = tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(3))
     n_cap = float(rng.uniform(2.5, 4.5))
-    t = build_tensor(shells, centers=centers, n_cap=n_cap)
+    return build_tensor(shells, centers=centers, n_cap=n_cap)
+
+
+def _reference_flatten(t, rows, level=None):
+    # row and column ids as np.unique's inverse of int64 keys built from
+    # the coordinates of each side's slots, led by the level index if given
+    cols = tuple(s for s in ("n", "n1", "n2", "n3") if s not in rows)
+    out = []
+    for slots in (rows, cols):
+        key = np.zeros(t.nnz, dtype=np.int64) if level is None else level
+        for s in slots:
+            col = getattr(t, s).astype(np.int64)
+            off = int(max(np.abs(col).max(initial=0), 1)) + 1
+            span = 2 * off + 1
+            key = key * (span * span) + (col[:, 0] + off) * span + (col[:, 1] + off)
+        out.append(np.unique(key, return_inverse=True)[1])
+    return tuple(out)
+
+
+def _with_levels(t):
+    ranks = _slot_ranks(t)
+    ranks["level"] = _lex_ids((t.levels,), t.nnz)
+    return ranks
+
+
+_EMPTY = dict(shells=(1, 1, 1), centers=((100, 100), (0, 0), (0, 0)), n_cap=2)
+_ALL_GROUPS = _ROW_GROUPS + (("n1", "n2", "n3"), ("n", "n2", "n3"),
+                             ("n", "n1", "n3"), ("n", "n1", "n2"))
+
+
+@pytest.mark.parametrize("seed", _RANDOM_SEEDS + ["empty"])
+def test_flatten_ids_match_unique_of_coordinate_keys(seed):
+    t = build_tensor(**_EMPTY) if seed == "empty" else _random_tensor(seed)
+    ranks = _with_levels(t)
+    level = np.unique(t.levels, return_inverse=True)[1]
+    for s in ("n", "n1", "n2", "n3"):
+        modes = np.unique(getattr(t, s), axis=0, return_inverse=True)[1]
+        np.testing.assert_array_equal(ranks[s], modes.ravel(), err_msg=s)
+    np.testing.assert_array_equal(ranks["level"], level)
+    for rows in _ALL_GROUPS:
+        for per_level in (False, True):
+            got = _flatten(ranks, rows, per_level)
+            want = _reference_flatten(t, rows, level if per_level else None)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int32
+                np.testing.assert_array_equal(g, w, err_msg=f"{rows} {per_level}")
+
+
+def test_lex_ids_match_unique_rows_of_wide_columns():
+    # boxes past 2^62 are renumbered on the way, and past the table size
+    # ranked by np.unique; the ids stay np.unique's inverse of the rows
+    rng = np.random.default_rng(2)
+    cols = [rng.integers(-2**40, 2**40, 300) // k * k for k in (2**37, 2**38, 2**36)]
+    want = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)[1]
+    np.testing.assert_array_equal(_lex_ids(cols, 300), want.ravel())
+
+
+@pytest.mark.parametrize("seed", _RANDOM_SEEDS)
+def test_lone_slot_norms_equal_block_norms_bit_for_bit(seed):
+    # a lone slot on either side takes the closed form sqrt(max count);
+    # it must equal the block decomposition of the full flattening exactly
+    t = _random_tensor(seed)
+    tensors = [t] + [fiber(t, int(lv)) for lv in np.unique(t.levels)]
+    for k, tk in enumerate(tensors):
+        ranks = _with_levels(tk)
+        for slot in ("n", "n1", "n2", "n3"):
+            rest = tuple(s for s in ("n", "n1", "n2", "n3") if s != slot)
+            for rows in ((slot,), rest):
+                for per_level in (True, False):
+                    want = _flattening_norm(*_flatten(ranks, rows, per_level), NORM_TOL)
+                    assert _norm(ranks, rows, per_level) == want, (k, rows, per_level)
+                assert matricization_norm(tk, rows) == want  # the per_level=False value
+
+
+@pytest.mark.parametrize("centers", [((40_000, 0), (0, 0), (0, 0)),
+                                     ((0, 0), (0, -40_000), (0, 0)),
+                                     ((20_000, 0), (-20_000, 0), (0, 0))])
+def test_coordinates_beyond_int16_raise(centers):
+    # the last case fits every shell but puts n = n1 - n2 + n3 near 40 000
+    with pytest.raises(ValueError, match="int16"):
+        build_tensor((1, 1, 1), centers=centers)
+
+
+def test_build_tensor_stores_compact_dtypes():
+    # n1 - n2 passes the int16 range before n3 brings n back into it
+    t = build_tensor((1, 1, 1), centers=((30_000, 0), (-3_000, 1), (-3_000, 2)))
+    assert t.nnz > 0
+    assert all(getattr(t, s).dtype == np.int16 for s in ("n", "n1", "n2", "n3"))
+    assert t.levels.dtype == np.int32
+    wide = [getattr(t, s).astype(np.int64) for s in ("n", "n1", "n2", "n3")]
+    np.testing.assert_array_equal(wide[0], wide[1] - wide[2] + wide[3])
+    np.testing.assert_array_equal(t.levels, resonance_phase(*wide))
+
+
+def test_resonance_phase_of_int16_equals_int64():
+    rng = np.random.default_rng(3)
+    pts = rng.integers(-32_768, 32_768, size=(4, 500, 2)).astype(np.int16)
+    np.testing.assert_array_equal(resonance_phase(*pts),
+                                  resonance_phase(*pts.astype(np.int64)))
+
+
+@pytest.mark.parametrize("seed", _RANDOM_SEEDS)
+def test_norms_of_random_shells_match_dense_svd(seed):
+    # every flattening of the tensor and of each of its fibers against a
+    # dense SVD
+    t = _random_tensor(seed)
     assert 0 < t.nnz <= 12_000
     for rows in _ROW_GROUPS:
         _assert_near_dense(matricization_norm(t, rows), _dense_norm(t, rows), rows)

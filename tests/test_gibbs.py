@@ -8,7 +8,6 @@ from torus_phi4 import (
     FourierField,
     ModeLattice,
     check_exponential_moments,
-    load_ensemble,
     mass,
     mode_variance_sum,
     quartic_mean,
@@ -16,7 +15,6 @@ from torus_phi4 import (
     sample_gff,
     sample_gibbs_pcn,
     sample_gibbs_pcn_chains,
-    save_ensemble,
     sobolev_norm,
     wick_action,
     wick_potential,
@@ -147,15 +145,3 @@ def test_exponential_moments_bounded_and_cauchy():
     assert np.all(rep["lp_norms"] > 0.0)
     # successive weight distances shrink as the cutoff doubles
     assert rep["l2_diffs"][1] < rep["l2_diffs"][0]
-
-
-def test_ensemble_roundtrip(tmp_path):
-    lat = ModeLattice(2)
-    rng = np.random.default_rng(2)
-    fields = [sample_gff(lat, rng) for _ in range(3)]
-    save_ensemble(fields, str(tmp_path / "ens"), {"note": "roundtrip"})
-    loaded, manifest = load_ensemble(str(tmp_path / "ens"))
-    assert manifest["note"] == "roundtrip"
-    assert len(loaded) == 3
-    for a, b in zip(fields, loaded):
-        np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-15)

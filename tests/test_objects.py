@@ -9,7 +9,6 @@ from torus_phi4 import (
     ModeLattice,
     NoisePath,
     build_bundle,
-    gamma_continuity,
     mode_variance_sum,
     nonpairing,
     regularity_scan,
@@ -63,20 +62,3 @@ def test_regularity_scan_structure_and_csv(tmp_path):
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 6
     assert {r["object"] for r in rows} == {"linear", "cubic", "integrated_cubic"}
-
-
-def test_gamma_continuity_monotone_gaps():
-    rep = gamma_continuity(
-        gammas=(0.05, 0.1, 0.2, 0.4),
-        n_cut=4,
-        horizon=0.25,
-        n_steps=128,
-        ensemble=8,
-        seed=1,
-    )
-    d = rep["mean_dist"]
-    assert np.all(d > 0)
-    # distance from the smallest gamma grows with the gap
-    assert d[0] < d[-1]
-    assert np.isfinite(rep["holder_exponent"])
-    assert rep["holder_exponent"] > 0
