@@ -216,11 +216,15 @@ def _nonlinear_substep(
         v = FourierField(lat, u.coeffs[rot])
         m = sigma if sigma is not None else mass(v)[:, None, None]
         w = v.to_physical()
-        # a named factor: numpy multiplies into an unnamed temporary above
-        # 256 KB, with a loop whose last bits differ from the one a row
-        # alone would take
-        phase = np.exp(-1j * h * (np.abs(w) ** 2 - 2.0 * m))
-        out[rot] = lat.from_grid(w * phase)
+        a = np.abs(w, out=lat._workspace("real", w.shape, np.float64))
+        a *= a
+        a -= 2.0 * m
+        # every output is named, whatever the stack's size: numpy multiplies
+        # into an unnamed temporary only above 256 KB, with a loop whose last
+        # bits differ from the one a row alone would take
+        phase = np.multiply(-1j * h, a, out=lat._workspace("grid", w.shape))
+        w *= np.exp(phase, out=phase)
+        out[rot] = lat._from_grid(w, overwrite=True)
     if not rot.all():
         v = FourierField(lat, u.coeffs[~rot])
         drift = wick_cubic(v, sigma) if sigma is not None else renormalized_cubic(v)

@@ -195,7 +195,8 @@ def sample_gibbs_pcn_chains(
         a = np.abs(c)
         a *= a
         m2 = a.sum(axis=1)
-        a = np.abs(lattice.to_grid(c))
+        g = lattice.to_grid(c)
+        a = np.abs(g, out=lattice._workspace("real", g.shape, np.float64))
         a *= a
         a *= a
         return m2, a.sum(axis=(-2, -1)) / points

@@ -57,10 +57,10 @@ def quartic_mean(u: FourierField) -> float:
 def _cube(lat: ModeLattice, c: np.ndarray) -> np.ndarray:
     """Coefficients of |u|^2 u for u with coefficients c[..., n_modes] (alias-free)."""
     w = lat.to_grid(c)
-    a = np.abs(w)
+    a = np.abs(w, out=lat._workspace("real", w.shape, np.float64))
     a *= a
     w *= a
-    return lat.from_grid(w)
+    return lat._from_grid(w, overwrite=True)
 
 
 def cubic(u: FourierField) -> FourierField:
@@ -99,8 +99,12 @@ def nonpairing_batch(
     if c1 is c2 is c3:
         m = np.sum(np.abs(c1) ** 2, axis=-1, keepdims=True)
         return _cube(lat, c1) - 2.0 * m * c1 + np.abs(c1) ** 2 * c1
-    w = lat.to_grid(c1) * np.conj(lat.to_grid(c2)) * lat.to_grid(c3)
-    full = lat.from_grid(w)
+    w = lat.to_grid(c1)
+    g = lat.to_grid(c2)
+    w *= np.conjugate(g, out=g)
+    del g  # freed before the third grid is made
+    w *= lat.to_grid(c3)
+    full = lat._from_grid(w, overwrite=True)
     p12 = np.sum(c1 * np.conj(c2), axis=-1, keepdims=True)
     p32 = np.sum(c3 * np.conj(c2), axis=-1, keepdims=True)
     return full - p12 * c3 - p32 * c1 + c1 * np.conj(c2) * c3

@@ -12,11 +12,22 @@ modes.  All transforms are exact up to floating point roundoff.  Grids of
 up to DFT_MATRIX_MAX_M points a side transform by two dense DFT products per
 field, with no FFT call; larger ones by band-pruned FFTs, in which only the
 2*n_max + 1 grid columns that can hold a retained mode enter the x-pass.
+
+Each lattice owns the work arrays of its transforms (the frequency band or
+block and the half-transformed stack) and of the pointwise steps of the cubic
+kernels (a real grid for |u|^2, a complex one for a phase), one per name and
+stack shape, made on first use and kept as long as the lattice.  Every pass
+runs in place on one of them or on the grid being returned, so a transform
+allocates only its result (from_grid also its first pass, since it leaves its
+argument as it is).  Without them a call's temporaries at N = 64 outgrow
+glibc's heap trim threshold (twice the largest block freed so far): what a
+call frees goes back to the operating system, and the next call faults every
+page of it in again.  A lattice is therefore not safe to share between
+threads.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +39,7 @@ __all__ = [
     "FourierField",
     "project_leq",
     "sobolev_norm",
-    "save_snapshot",
-    "load_snapshot",
 ]
-
-FORMAT_VERSION = "torus-phi4/field-v1"
 
 DFT_MATRIX_MAX_M = 64  # largest grid side transformed by DFT matrices, not FFTs
 
@@ -88,6 +95,7 @@ class ModeLattice:
             f = np.exp(2j * np.pi / self.M * np.outer(np.arange(self.M), k))
             self._dft, self._band_shape = (f, f.conj() / self.M), (side, side)
         self._band_index = np.ravel_multi_index((self.modes % self._band_shape).T, self._band_shape)
+        self._work = {}  # (name, shape) -> work array; see _workspace
 
     def index_of(self, n) -> np.ndarray:
         """Indices of modes `n` (shape (...,2)); -1 where not retained."""
@@ -108,21 +116,34 @@ class ModeLattice:
         x = 2.0 * np.pi * np.arange(self.M) / self.M
         return np.meshgrid(x, x, indexing="ij")
 
+    def _workspace(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        """The lattice's own work array `name` of `shape`, made on first use and
+        handed out again, contents undefined, to every later call that asks."""
+        buf = self._work.get((name, shape))
+        if buf is None:
+            buf = self._work[name, shape] = np.empty(shape, dtype)
+        return buf
+
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values u(x_j) = sum_n u_hat(n) e^{i n.x_j} of c[..., n_modes].
 
-        Leading axes are a batch; the result has shape c.shape[:-1] + (M, M).
+        Leading axes are a batch; the result has shape c.shape[:-1] + (M, M)
+        and is a new array, the only one the call allocates.
         Small grids: F B F^T on each field's frequency block B.  Large grids:
         the x-pass runs on the band columns only, the y-pass on every row.
         """
         lead, M, lo = coeffs.shape[:-1], self.M, self.n_max + 1
-        band = np.zeros(lead + self._band_shape, dtype=np.complex128)
+        band = self._workspace("band", lead + self._band_shape)
+        band.fill(0.0)
         band.reshape(lead + (-1,))[..., self._band_index] = coeffs
         if self._dft is not None:
-            return self._dft[0] @ (band @ self._dft[0].T)
+            f = self._dft[0]
+            half = np.matmul(band, f.T, out=self._workspace("half", band.shape[:-1] + (M,)))
+            return f @ half
         band = ifft2(band, axes=(-2,), norm="forward", overwrite_x=True)
-        grid = np.zeros(lead + (M, M), dtype=np.complex128)
+        grid = np.empty(lead + (M, M), dtype=np.complex128)
         grid[..., :lo] = band[..., :lo]
+        grid[..., lo:M - self.n_max] = 0.0
         grid[..., M - self.n_max:] = band[..., lo:]
         return ifft2(grid, axes=(-1,), norm="forward", overwrite_x=True)
 
@@ -131,16 +152,24 @@ class ModeLattice:
 
         Exact for band-limited data; the inverse of to_grid.  Small grids:
         conj(F)^T w conj(F) / M^2.  Large grids: the y-pass runs on every row,
-        the x-pass on the band columns only.
+        the x-pass on the band columns only.  `values` is left as it is.
         """
-        M, lo = self.M, self.n_max + 1
+        return self._from_grid(values, overwrite=False)
+
+    def _from_grid(self, values: np.ndarray, overwrite: bool) -> np.ndarray:
+        """from_grid; with `overwrite` the y-pass may run in place on `values`."""
+        lead, M, lo = values.shape[:-2], self.M, self.n_max + 1
         if self._dft is not None:
-            band = self._dft[1].T @ (values @ self._dft[1])
+            f = self._dft[1]
+            half = np.matmul(values, f, out=self._workspace("half", lead + (M, f.shape[1])))
+            band = np.matmul(f.T, half, out=self._workspace("band", lead + self._band_shape))
         else:
-            spec = fft2(values, axes=(-1,), norm="forward")
-            band = np.concatenate((spec[..., :lo], spec[..., M - self.n_max:]), axis=-1)
+            spec = fft2(values, axes=(-1,), norm="forward", overwrite_x=overwrite)
+            band = self._workspace("band", lead + self._band_shape)
+            band[..., :lo] = spec[..., :lo]
+            band[..., lo:] = spec[..., M - self.n_max:]
             band = fft2(band, axes=(-2,), norm="forward", overwrite_x=True)
-        return band.reshape(band.shape[:-2] + (-1,))[..., self._band_index]
+        return band.reshape(lead + (-1,))[..., self._band_index]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeLattice) and other.n_cut == self.n_cut
@@ -202,32 +231,3 @@ def sobolev_norm(u: FourierField, s: float) -> float:
     """H^s norm: sqrt(sum <n>^{2s} |u_hat(n)|^2)."""
     w = u.lattice.brackets ** (2.0 * s)
     return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
-
-
-def save_snapshot(u: FourierField, path: str, metadata: dict | None = None) -> None:
-    """Write a field to JSON: lattice cutoff, mode list, re/im coefficient arrays."""
-    payload = {
-        "format": FORMAT_VERSION,
-        "n_cut": u.lattice.n_cut,
-        "modes": u.lattice.modes.tolist(),
-        "re": u.coeffs.real.tolist(),
-        "im": u.coeffs.imag.tolist(),
-    }
-    if metadata:
-        payload["metadata"] = metadata
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_snapshot(path: str) -> tuple[FourierField, dict]:
-    """Read a field snapshot written by save_snapshot; round-trips exactly."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unrecognized snapshot format in {path}")
-    lat = ModeLattice(payload["n_cut"])
-    modes = np.asarray(payload["modes"], dtype=np.int64)
-    if modes.shape != lat.modes.shape or not np.array_equal(modes, lat.modes):
-        raise ValueError("snapshot mode list does not match its stated cutoff")
-    coeffs = np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
-    return FourierField(lat, coeffs), payload.get("metadata", {})

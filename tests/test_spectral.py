@@ -1,4 +1,4 @@
-import json
+import tracemalloc
 
 import numpy as np
 import numpy.fft
@@ -7,9 +7,9 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from torus_phi4 import spectral
+from torus_phi4.nonlinearity import nonpairing_batch
 from torus_phi4.spectral import (bracket, ModeLattice, FourierField,
-                                 project_leq, sobolev_norm, save_snapshot,
-                                 load_snapshot)
+                                 project_leq, sobolev_norm)
 
 
 def random_field(lattice, rng, decay=1.0):
@@ -191,21 +191,6 @@ def test_sobolev_and_sup_norms():
     assert abs(sobolev_norm(u, 1.0) - 3.0 * np.sqrt(6.0)) < 1e-12
 
 
-def test_snapshot_roundtrip_exact(tmp_path):
-    lat = ModeLattice(4)
-    rng = np.random.default_rng(3)
-    u = random_field(lat, rng)
-    path = tmp_path / "field.json"
-    save_snapshot(u, path, metadata={"tag": "unit"})
-    v, meta = load_snapshot(path)
-    assert meta == {"tag": "unit"}
-    assert np.array_equal(v.coeffs, u.coeffs)
-    assert np.array_equal(v.lattice.modes, lat.modes)
-    # file is valid JSON with explicit mode list
-    blob = json.loads(path.read_text())
-    assert "modes" in blob and "re" in blob and "im" in blob
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 31))
 def test_property_parseval(n_cut, seed):
@@ -214,3 +199,74 @@ def test_property_parseval(n_cut, seed):
     u = random_field(lat, rng)
     assert np.isclose(np.mean(np.abs(u.to_physical()) ** 2),
                       np.sum(np.abs(u.coeffs) ** 2), rtol=1e-10, atol=1e-12)
+
+
+def _transforms(lat, c, w):
+    """Everything the lattice computes through its work arrays, for c[..., K]
+    and w[..., M, M]: grid, coefficients and the same-field cubic."""
+    return lat.to_grid(c), lat.from_grid(w), nonpairing_batch(lat, c, c, c)
+
+
+@pytest.mark.parametrize("n_cut", [8, SWITCH_SIDES[1]])
+def test_workspaces_are_invisible(n_cut):
+    # one lattice fed alternating stack shapes, interleaved with a second
+    # lattice of the same cutoff and one of another, returns bit for bit
+    # what a fresh lattice returns for each input alone
+    rng = np.random.default_rng(11)
+    probe = ModeLattice(n_cut)
+    inputs = {}
+    for rows in (1, 3, 18):
+        c = rng.standard_normal((rows, probe.n_modes)) + 1j * rng.standard_normal((rows, probe.n_modes))
+        w = rng.standard_normal((rows, probe.M, probe.M)) + 1j * rng.standard_normal((rows, probe.M, probe.M))
+        inputs[rows] = (c, w)
+    fresh = {rows: _transforms(ModeLattice(n_cut), c, w) for rows, (c, w) in inputs.items()}
+    shared, twin, other = ModeLattice(n_cut), ModeLattice(n_cut), ModeLattice(n_cut / 2)
+    c_other = rng.standard_normal(other.n_modes) + 0j
+    for rows in (1, 3, 18, 1, 18, 3, 3, 1):
+        for lat in (shared, twin):
+            got = _transforms(lat, *inputs[rows])
+            for a, b in zip(got, fresh[rows]):
+                assert np.array_equal(a, b)
+            nonpairing_batch(other, c_other, c_other, c_other)
+
+
+@pytest.mark.parametrize("n_cut", [8, SWITCH_SIDES[1]])
+def test_returned_arrays_and_arguments_are_not_touched(n_cut):
+    lat = ModeLattice(n_cut)
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((3, lat.n_modes)) + 1j * rng.standard_normal((3, lat.n_modes))
+    w = rng.standard_normal((3, lat.M, lat.M)) + 1j * rng.standard_normal((3, lat.M, lat.M))
+    c_in, w_in = c.copy(), w.copy()
+    grid, coeffs = lat.to_grid(c), lat.from_grid(w)
+    assert np.array_equal(w, w_in) and np.array_equal(c, c_in)
+    kept = grid.copy(), coeffs.copy()
+    for _ in range(2):
+        _transforms(lat, 2.0 * c, 0.5 * w)
+        lat.from_grid(grid)
+    assert np.array_equal(grid, kept[0]) and np.array_equal(coeffs, kept[1])
+    assert np.array_equal(w, w_in) and np.array_equal(c, c_in)
+
+
+def _transient_grids(fn, grid_bytes):
+    """tracemalloc peak of a warm call to fn, above what was held before it,
+    in units of grid_bytes."""
+    fn()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - held) / grid_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_transforms_hold_at_most_their_result():
+    # above glibc's trim threshold, every byte a call frees at the top of the
+    # heap goes back to the system and is faulted in again by the next call;
+    # the cubic holds its one grid plus coefficient-sized temporaries, and
+    # to_grid nothing but the grid it returns
+    lat = ModeLattice(64)
+    c = np.random.default_rng(13).standard_normal((2, lat.n_modes)) + 0j
+    grid_bytes = c.shape[0] * lat.M**2 * 16
+    assert _transient_grids(lambda: nonpairing_batch(lat, c, c, c), grid_bytes) <= 1.5
+    assert _transient_grids(lambda: lat.to_grid(c), grid_bytes) <= 1.1
