@@ -15,8 +15,11 @@ interactions, as int16 coordinates and int32 levels; its matricization
 norms (largest singular values of the row-group/column-group flattenings)
 and the corresponding norms of its resonance-level fibers are the
 quantities the tensor estimates bound.  Flattenings rank slot modes and
-row/column keys on dense tables, not by sorting; a single-slot side has
-the closed-form norm sqrt(largest entry count of one of its modes).
+row/column keys on dense tables, or, past the table limit, by one sort of
+each key packed with its index into an int64; a single-slot side has the
+closed-form norm sqrt(largest entry count of one of its modes).  Ranking
+calls neither np.unique nor, while a key and its index pack into 63 bits,
+a stable argsort.
 """
 
 from __future__ import annotations
@@ -80,10 +83,11 @@ def _box(center, radius) -> np.ndarray:
 
 
 def count_set(query: CountQuery) -> int:
-    """Count solutions by enumerating the two smaller boxes.
+    """Count solutions by enumerating the boxes of y and z.
 
     The box of x is eliminated through the linear constraint; y and z
-    are enumerated (vectorized over z), so the cost is |box_y| * |box_z|.
+    are enumerated (vectorized over z), so the cost is |box_y| * |box_z|
+    whatever the sizes of the three boxes.
     """
     i1, i2, i3 = query.signs
     a, b, c = query.centers
@@ -149,7 +153,9 @@ def build_tensor(
 
     shells: (N1, N2, N3); slot j ranges over <n_j - center_j> in
     [N_j, 2 N_j).  Pairing exclusions n2 != n1 and n2 != n3 apply.
-    n_cap optionally restricts the output mode to <n> <= n_cap.
+    n_cap optionally restricts the output mode to <n> <= n_cap.  The levels
+    are `resonance_phase` of the coordinates, summed from per-shell squared
+    norms.
     """
     s1, s2, s3 = (_shell(c, n_lo) for c, n_lo in zip(centers, shells))
     if s1.shape[0] * s2.shape[0] * s3.shape[0] > SUPPORT_GUARD:
@@ -161,19 +167,27 @@ def build_tensor(
     if max(np.abs(v).max(initial=0) for v in (s1, s2, s3, *box)) > INT16_MAX:
         raise ValueError("mode coordinates beyond the int16 range")
     s1, s2, s3 = (s.astype(np.int16) for s in (s1, s2, s3))
-    # collect int32 shell indices and gather once: no second output copy
-    unpaired23 = np.any(s2[:, None, :] != s3[None, :, :], axis=-1)
-    index = [np.zeros((3, 0), dtype=np.int32)]
-    for k, p1 in enumerate(s1):
-        ok = unpaired23 & np.any(s2 != p1, axis=-1)[:, None]
-        if n_cap is not None:
-            ok &= bracket(p1 - s2[:, None, :] + s3[None, :, :]) <= n_cap + 1e-12
-        i2, i3 = np.nonzero(ok)
-        index.append(np.stack([np.full(i2.size, k), i2, i3]).astype(np.int32))
-    i1, i2, i3 = np.concatenate(index, axis=1)
-    n1, n2, n3 = s1[i1], s2[i2], s3[i3]
+    # the support as a mask over the product of the shells
+    ok = np.empty((len(s1), len(s2), len(s3)), dtype=bool)
+    ok[:] = np.any(s2[:, None, :] != s3[None, :, :], axis=-1)
+    ok &= np.any(s1[:, None, :] != s2[None, :, :], axis=-1)[:, :, None]
+    if n_cap is not None:
+        for k, p1 in enumerate(s1):
+            ok[k] &= bracket(p1 - s2[:, None, :] + s3[None, :, :]) <= n_cap + 1e-12
+    index = np.nonzero(ok)
+    del ok
+    # per slot, gather the points (an int16 pair read as one int32) and add
+    # the slot's part of |n|^2 - |n1|^2 + |n2|^2 - |n3|^2 from the shell's
+    # squared norms, in exact int64
+    points, levels = [], np.zeros(index[0].size, dtype=np.int64)
+    for s, i, sign in zip((s1, s2, s3), index, (-1, 1, -1)):
+        levels += (sign * np.sum(s.astype(np.int64) ** 2, axis=-1))[i]
+        points.append(np.take(s.view(np.int32)[:, 0], i).view(np.int16).reshape(-1, 2))
+    del index, i  # the three index arrays share one buffer: free it before n
+    n1, n2, n3 = points
     n = n1 - n2 + n3  # int16 wraps modulo 2^16, so n is exact inside its box
-    levels = resonance_phase(n, n1, n2, n3)
+    for c in n.T:
+        levels += np.square(c, dtype=np.int64)
     if np.abs(levels).max(initial=0) > np.iinfo(np.int32).max:
         raise ValueError("resonance phases beyond the int32 range")
     return SparseTensor(n, n1, n2, n3, levels.astype(np.int32))
@@ -187,8 +201,31 @@ def fiber(tensor: SparseTensor, level: int) -> SparseTensor:
 
 NORM_TOL = 1e-12  # relative width of the certified interval of an iterated block
 _TABLE_MAX = 1 << 22  # longest key range ranked by a table rather than a sort
+_TABLE_PER_ENTRY = 4  # most keys per entry ranked by a table rather than a sort
 _FAM1 = (("n",), ("n1",), ("n", "n2"), ("n", "n3"))
 _FAM2 = (("n",), ("n", "n1"))
+
+
+def _stable_order(key: np.ndarray) -> tuple:
+    """Stable sorting order (int64) of non-negative integer keys, and the
+    keys (int64) in that order.
+
+    Each key is packed with its index as key << b | index (b the bit length
+    of size - 1), so one in-place sort of distinct int64 values gives both;
+    np.argsort(kind="stable") gives the order when the two do not fit in
+    63 bits.
+    """
+    bits = max(key.size - 1, 0).bit_length()
+    if int(key.max(initial=0)) >> (63 - bits):
+        order = np.argsort(key, kind="stable")
+        return order, key[order].astype(np.int64, copy=False)
+    packed = key.astype(np.int64)
+    packed <<= bits
+    packed |= np.arange(key.size)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    return order, packed
 
 
 def _lex_ids(columns, size: int) -> np.ndarray:
@@ -198,8 +235,10 @@ def _lex_ids(columns, size: int) -> np.ndarray:
     The ranks are np.unique's inverse of the rows.  The mixed-radix key of a
     row over the columns' bounding box is ranked by marking a table over the
     box and summing it up, with no sort, unless the box is longer than
-    _TABLE_MAX or 8 keys per entry (the table takes 5 bytes a key, a sort
-    about 40 an entry); then np.unique ranks it.
+    _TABLE_MAX or _TABLE_PER_ENTRY keys per entry (the table takes 5 bytes a
+    key, the sort about 21 an entry, and near 4 keys an entry the two take
+    the same time); then the keys are sorted by `_stable_order` and numbered
+    by a running count of the runs they start.
     """
     if size == 0:
         return np.zeros(0, dtype=np.int32)
@@ -207,15 +246,24 @@ def _lex_ids(columns, size: int) -> np.ndarray:
     for c in columns:
         lo = int(c.min())
         width = int(c.max()) - lo + 1
-        if span * width > 1 << 62:  # renumber densely before int64 overflows
-            key = _lex_ids((key,), size).astype(np.int64)
-            span = int(key.max()) + 1
-        key *= width
-        key += c
-        key -= lo
+        if span == 1:  # the key is all zeros so far
+            np.subtract(c, lo, out=key, dtype=np.int64)
+        else:
+            if span * width > 1 << 62:  # renumber densely before int64 overflows
+                key = _lex_ids((key,), size).astype(np.int64)
+                span = int(key.max()) + 1
+            key *= width
+            key += c
+            key -= lo
         span *= width
-    if span > min(_TABLE_MAX, 8 * size):
-        return np.unique(key, return_inverse=True)[1].astype(np.int32)
+    if span > min(_TABLE_MAX, _TABLE_PER_ENTRY * size):
+        order, key = _stable_order(key)
+        starts = np.empty(size, dtype=bool)
+        starts[0] = False
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        ids = np.empty(size, dtype=np.int32)
+        ids[order] = np.cumsum(starts, dtype=np.int32)
+        return ids
     table = np.zeros(span, dtype=bool)
     table[key] = True
     table = np.cumsum(table, dtype=np.int32)
@@ -301,14 +349,14 @@ def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
     bound = np.sqrt(np.minimum(size, (max_row * max_col)[open_blocks]))
     # entries of the open blocks, grouped by block, each in its given order
     entries = np.flatnonzero(~closed[block])
-    entries = entries[np.argsort(block[entries], kind="stable")]
+    entries = entries[_stable_order(block[entries])[0]]
     stops = np.cumsum(size)
     for j in np.argsort(-size, kind="stable"):
         if bound[j] <= best:
             continue
         sel = entries[stops[j] - size[j]:stops[j]]
-        r = np.unique(ri[sel], return_inverse=True)[1]
-        c = np.unique(ci[sel], return_inverse=True)[1]
+        r = _lex_ids((ri[sel],), sel.size)
+        c = _lex_ids((ci[sel],), sel.size)
         if r.max() < c.max():  # iterate on the smaller side
             r, c = c, r
         v = np.bincount(c).astype(np.float64)  # column sums: a positive start
@@ -358,7 +406,10 @@ def tensor_norms(tensor: SparseTensor) -> dict:
     norm1: max over row groups {n}, {n1}, {n,n2}, {n,n3}.
     norm2: max over row groups {n}, {n,n1}.
     """
-    ranks = _slot_ranks(tensor)
+    return _tensor_norms(_slot_ranks(tensor))
+
+
+def _tensor_norms(ranks: dict) -> dict:
     vals = {r: _norm(ranks, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
     vals1, vals2 = ({r: vals[r] for r in fam} for fam in (_FAM1, _FAM2))
     return {"norm1": max(vals1.values()), "norm2": max(vals2.values()),
@@ -373,8 +424,11 @@ def fiber_norm_sup(tensor: SparseTensor) -> dict:
     leads every row and column key, so each flattening is block diagonal
     over the levels and one call per row group gives the sup.
     """
-    ranks = _slot_ranks(tensor)
-    ranks["level"] = _lex_ids((tensor.levels,), tensor.nnz)
+    return _fiber_norm_sup(_slot_ranks(tensor), tensor.levels)
+
+
+def _fiber_norm_sup(ranks: dict, levels: np.ndarray) -> dict:
+    ranks = dict(ranks, level=_lex_ids((levels,), levels.size))
     sup = {r: _norm(ranks, r, per_level=True) for r in dict.fromkeys(_FAM1 + _FAM2)}
     return {"norm1": max(sup[r] for r in _FAM1),
             "norm2": max(sup[r] for r in _FAM2)}
@@ -411,6 +465,12 @@ def verify_tensor_bounds(
     scalings.  Small shells are preasymptotic, so individual per-sweep
     slopes (also reported) can sit slightly above the tolerance.
     """
+    if not shell_sweeps:
+        raise ValueError("no shell sweeps: a slope needs at least one sweep")
+    for sweep in shell_sweeps:
+        if len({max(shells) for shells in sweep}) < 2:
+            raise ValueError(f"shell sweep {sweep} has fewer than two distinct "
+                             "N_max, so it has no slope")
     rows = []
     sweep_slopes: dict = {k: [] for k in _RATIO_KEYS}
     for sweep in shell_sweeps:
@@ -419,8 +479,9 @@ def verify_tensor_bounds(
             t = build_tensor(shells)
             ns = sorted(shells, reverse=True)
             nmax, nmed, nmin = float(ns[0]), float(ns[1]), float(ns[2])
-            norms = tensor_norms(t)
-            sups = fiber_norm_sup(t)
+            ranks = _slot_ranks(t)
+            norms = _tensor_norms(ranks)
+            sups = _fiber_norm_sup(ranks, t.levels)
             f1, f2 = sups["norm1"], sups["norm2"]
             sweep_rows.append(
                 {

@@ -15,8 +15,9 @@ from torus_phi4 import (
     tensor_norms,
     verify_tensor_bounds,
 )
-from torus_phi4.counting import (NORM_TOL, _flatten, _flattening_norm, _lex_ids, _norm,
-                                 _slot_ranks)
+from torus_phi4 import counting
+from torus_phi4.counting import (_FAM1, _FAM2, NORM_TOL, _flatten, _flattening_norm,
+                                 _lex_ids, _norm, _slot_ranks, _stable_order)
 from torus_phi4.spectral import bracket
 
 
@@ -256,6 +257,118 @@ def test_lex_ids_match_unique_rows_of_wide_columns():
     np.testing.assert_array_equal(_lex_ids(cols, 300), want.ravel())
 
 
+def _tied_keys(rng, size, top):
+    # keys drawn with ties from a few values, the largest of them `top`
+    values = np.array([0, 1, 5, top // 2, top], dtype=np.int64)
+    key = values[rng.integers(0, values.size, size)]
+    key[:2] = (top, 0)[:size]
+    return key
+
+
+def _count_argsort_calls(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 1000, 4096, 4097])
+def test_stable_order_matches_stable_argsort(size, monkeypatch):
+    # key << b | index packs into int64 up to a key of 2^(63 - b) - 1
+    # (b the bit length of size - 1); one past it takes the stable argsort
+    rng = np.random.default_rng(size)
+    bits = max(size - 1, 0).bit_length()
+    cases = [(np.zeros(size, dtype=np.int64), False),  # all keys equal
+             (_tied_keys(rng, size, 37), False),
+             (_tied_keys(rng, size, (1 << (63 - bits)) - 1), False)]
+    if bits:
+        cases.append((_tied_keys(rng, size, 1 << (63 - bits)), True))
+    for key, fallback in cases:
+        want = np.argsort(key, kind="stable")
+        calls = _count_argsort_calls(monkeypatch)
+        order, ordered = _stable_order(key)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(order, want)
+        assert ordered.dtype == np.int64
+        np.testing.assert_array_equal(ordered, key[want])
+        assert calls == (["stable"] if fallback else []), (size, key.max())
+    labels = rng.integers(0, 9, size).astype(np.int32)  # the block labels' dtype
+    order, ordered = _stable_order(labels)
+    np.testing.assert_array_equal(order, np.argsort(labels, kind="stable"))
+    np.testing.assert_array_equal(ordered, np.sort(labels))
+
+
+def _unique_ids(columns):
+    rows = np.stack([np.asarray(c, dtype=np.int64) for c in columns], axis=1)
+    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 1000])
+def test_lex_ids_match_unique_on_each_path(size, monkeypatch):
+    # table: a box of at most _TABLE_PER_ENTRY keys an entry; packed: a
+    # longer box whose keys pack with their index; fallback: a box at the
+    # 63-bit edge
+    rng = np.random.default_rng(size)
+    table = [(rng.integers(-1, 1, size), rng.integers(3, 5, size)),  # a 2 x 2 box
+             (np.full(size, 7), np.full(size, -2))]
+    if 35 <= counting._TABLE_PER_ENTRY * size:
+        table.append((rng.integers(-3, 4, size), rng.integers(0, 5, size)))
+    paths = {"table": table}
+    if size > 1:  # a single key always fits a table of one
+        edge = 1 << (63 - (size - 1).bit_length())
+        paths["packed"] = [(_tied_keys(rng, size, 10**6) - 3, rng.integers(-2, 3, size)),
+                           (_tied_keys(rng, size, edge - 1),)]
+        paths["fallback"] = [(_tied_keys(rng, size, edge),)]
+    for path, cases in paths.items():
+        for columns in cases:
+            sorts = []
+            order = counting._stable_order
+            monkeypatch.setattr(counting, "_stable_order",
+                                lambda key: sorts.append(1) or order(key))
+            calls = _count_argsort_calls(monkeypatch)
+            got = _lex_ids(columns, size)
+            monkeypatch.undo()
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, _unique_ids(columns), err_msg=path)
+            assert (len(sorts), len(calls)) == {"table": (0, 0), "packed": (1, 0),
+                                                "fallback": (1, 1)}[path], path
+
+
+def test_norms_never_call_np_unique(monkeypatch):
+    # np.unique is not used for ranking: every key is ranked on a table or
+    # by the packed sort; the oracles, computed before np.unique is patched,
+    # rank by np.unique and go through the same block decomposition
+    tensors, want = [build_tensor(s) for s in ((2, 2, 2), (4, 2, 2))], []
+    for t in tensors:
+        level = np.unique(t.levels, return_inverse=True)[1]
+        val = {(r, lv is None): _flattening_norm(*_reference_flatten(t, r, lv), NORM_TOL)
+               for r in set(_FAM1 + _FAM2) for lv in (None, level)}
+        want.append([{name: max(val[r, whole] for r in fam)
+                      for name, fam in (("norm1", _FAM1), ("norm2", _FAM2))}
+                     for whole in (True, False)])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tensor norms called np.unique")
+
+    monkeypatch.setattr(np, "unique", forbidden)
+    for t, (norms, sups) in zip(tensors, want):
+        got = tensor_norms(t)
+        assert {k: got[k] for k in norms} == norms
+        assert fiber_norm_sup(t) == sups
+
+
+@pytest.mark.parametrize("seed", _RANDOM_SEEDS + ["empty"])
+def test_build_tensor_levels_equal_resonance_phase(seed):
+    t = build_tensor(**_EMPTY) if seed == "empty" else _random_tensor(seed)
+    assert t.levels.dtype == np.int32
+    np.testing.assert_array_equal(t.levels, resonance_phase(t.n, t.n1, t.n2, t.n3))
+
+
 @pytest.mark.parametrize("seed", _RANDOM_SEEDS)
 def test_lone_slot_norms_equal_block_norms_bit_for_bit(seed):
     # a lone slot on either side takes the closed form sqrt(max count);
@@ -354,6 +467,29 @@ def test_flattening_norm_on_mixed_blocks():
     _assert_near_dense(np.sqrt(63.0), dense, "all ones")
 
 
+def test_flattening_norm_takes_each_block_in_its_given_order():
+    # open blocks are grouped stably: the whole matrix gets, bit for bit, the
+    # value its winning block gets alone with its entries in the same order;
+    # the order moves the last bits, so shuffles of one matrix differ
+    rng = np.random.default_rng(11)
+    ri, ci = [], []
+    for k in range(6):
+        r, c = np.nonzero(rng.random((40, 50)) < 0.6)
+        ri.append(r + 40 * k)
+        ci.append(c + 50 * k)
+    ri, ci = np.concatenate(ri), np.concatenate(ci)
+    values = set()
+    for _ in range(8):
+        order = rng.permutation(ri.size)
+        r, c = ri[order], ci[order]
+        alone = [_flattening_norm(r[r // 40 == k] - 40 * k, c[r // 40 == k] - 50 * k,
+                                  1e-12) for k in range(6)]
+        whole = _flattening_norm(r, c, 1e-12)
+        assert whole == max(alone)
+        values.add(whole)
+    assert len(values) > 1
+
+
 def test_tensor_norms_where_power_iteration_stalled():
     # 3.0M non-zeros; the plain power iteration on ('n',) did not settle to
     # 1e-8 within 1000 steps, and every block of that flattening is a star
@@ -372,6 +508,45 @@ def test_verify_tensor_bounds_smallest_sweep():
     for row in rep["rows"]:
         for key in ("ratio_norm1", "ratio_fiber1", "ratio_norm2", "ratio_fiber2"):
             assert row[key] > 0.0
+
+
+def test_verify_tensor_bounds_rows_equal_per_triple_norms():
+    # the shared slot ranks give the public functions' values bit for bit
+    eps = 0.1
+    sweeps = (((1, 1, 1), (2, 2, 2)), ((2, 1, 1), (4, 2, 2)))
+    rep = verify_tensor_bounds(shell_sweeps=sweeps, eps=eps)
+    assert [r["shells"] for r in rep["rows"]] == [s for sw in sweeps for s in sw]
+    for row in rep["rows"]:
+        t = build_tensor(row["shells"])
+        norms, sups = tensor_norms(t), fiber_norm_sup(t)
+        nmax, nmed, nmin = map(float, sorted(row["shells"], reverse=True))
+        assert row == {
+            "shells": row["shells"],
+            "nnz": t.nnz,
+            "ratio_norm1": norms["norm1"] / (nmax * nmed),
+            "ratio_fiber1": sups["norm1"] / (nmax ** (0.5 + eps) * nmed**0.5),
+            "ratio_norm2": norms["norm2"] / (nmax * nmin),
+            "ratio_fiber2": sups["norm2"] / (nmax ** (0.5 + eps) * nmin**0.5),
+        }
+
+
+@pytest.mark.parametrize("sweeps, match", [
+    ((), "no shell sweeps"),
+    ((((1, 1, 1),),), r"\(\(1, 1, 1\),\)"),
+    ((((1, 1, 1), (1, 1, 1)),), r"\(\(1, 1, 1\), \(1, 1, 1\)\)"),
+])
+def test_verify_tensor_bounds_rejects_sweeps_without_slope(sweeps, match, monkeypatch):
+    # a slope needs a sweep over two distinct N_max; the check comes before
+    # any tensor is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tensor was built")
+
+    monkeypatch.setattr(counting, "build_tensor", forbidden)
+    with pytest.raises(ValueError, match=match):
+        verify_tensor_bounds(shell_sweeps=sweeps)
+    if sweeps:  # also behind a sweep that has a slope
+        with pytest.raises(ValueError, match=match):
+            verify_tensor_bounds(shell_sweeps=(((1, 1, 1), (2, 2, 2)),) + sweeps)
 
 
 def test_support_guard():
