@@ -20,6 +20,19 @@ each key packed with its index into an int64; a single-slot side has the
 closed-form norm sqrt(largest entry count of one of its modes).  Ranking
 calls neither np.unique nor, while a key and its index pack into 63 bits,
 a stable argsort.
+
+Any 0/1 flattening with row counts r_i and column counts c_j has norm^2 <=
+max r_i c_j over its ones (the weighted Schur test), with equality when the
+maximum sits on a closed all-ones block; that is checked by counting before
+any graph search, and only a flattening that fails it is split into the
+connected blocks of its row/column graph.  Off resonance the bound is
+attained: every pairing n2 = n1 or n2 = n3 has kappa = 0, so at kappa != 0
+no pairing exclusion removes an entry, and a row and a column of a
+two-slot flattening meet exactly when they agree on the linear constraint
+(n + n2 = n1 + n3 for rows (n, n2); likewise for (n, n1) and (n, n3)) and
+on the quadratic one at that kappa.  Each fiber block is then a complete
+product of a row set and a column set, so a level-keyed flattening fails
+the check only when its largest count product lies at kappa = 0.
 """
 
 from __future__ import annotations
@@ -174,16 +187,21 @@ def build_tensor(
     if n_cap is not None:
         for k, p1 in enumerate(s1):
             ok[k] &= bracket(p1 - s2[:, None, :] + s3[None, :, :]) <= n_cap + 1e-12
-    index = np.nonzero(ok)
+    # the support as a flat index over the product of the shells (int32:
+    # the support guard keeps the product below 2^31), unravelled last slot
+    # first; per slot, gather the points (an int16 pair read as one int32)
+    # and add the slot's part of |n|^2 - |n1|^2 + |n2|^2 - |n3|^2 from the
+    # shell's squared norms, in exact int64, with one slot index alive
+    index = np.flatnonzero(ok).astype(np.int32)
     del ok
-    # per slot, gather the points (an int16 pair read as one int32) and add
-    # the slot's part of |n|^2 - |n1|^2 + |n2|^2 - |n3|^2 from the shell's
-    # squared norms, in exact int64
-    points, levels = [], np.zeros(index[0].size, dtype=np.int64)
-    for s, i, sign in zip((s1, s2, s3), index, (-1, 1, -1)):
+    points, levels = [], np.zeros(index.size, dtype=np.int64)
+    for s, sign in ((s3, -1), (s2, 1), (s1, -1)):
+        i = index % len(s)
+        index //= len(s)
         levels += (sign * np.sum(s.astype(np.int64) ** 2, axis=-1))[i]
-        points.append(np.take(s.view(np.int32)[:, 0], i).view(np.int16).reshape(-1, 2))
-    del index, i  # the three index arrays share one buffer: free it before n
+        points.insert(0, np.take(s.view(np.int32)[:, 0], i).view(np.int16).reshape(-1, 2))
+        del i
+    del index
     n1, n2, n3 = points
     n = n1 - n2 + n3  # int16 wraps modulo 2^16, so n is exact inside its box
     for c in n.T:
@@ -306,19 +324,53 @@ def _norm(ranks: dict, rows: tuple, per_level: bool = False, tol: float = NORM_T
     return _flattening_norm(*_flatten(ranks, rows, per_level), tol)
 
 
+def _attained_count(ri: np.ndarray, ci: np.ndarray, r_sum: np.ndarray,
+                    c_sum: np.ndarray) -> np.int64 | None:
+    """max r_i c_j over the ones (an int64) when the weighted Schur test
+    norm^2 <= max r_i c_j is attained by a closed all-ones block, else None.
+
+    r_sum and c_sum are the row and column counts of the ones at (ri[k],
+    ci[k]).  Take a one (i*, j*) where the maximum is reached: the bound is
+    attained when the rows of column j* and the columns of row i* span an
+    all-ones submatrix, whose norm is sqrt(r_i* c_j*).  By the maximality
+    of (i*, j*), no row of that submatrix has a one outside it (r_i c_j* <=
+    r_i* c_j* bounds its count by r_i*), and likewise no column, so it is a
+    closed block of the row/column graph.
+    """
+    weight = r_sum[ri]
+    weight *= c_sum[ci]
+    k = int(np.argmax(weight))
+    # the rows of column j* hold r_i* ones each, all in the columns of row i*
+    rows, cols = ri[ci == ci[k]], ci[ri == ri[k]]
+    in_rows = np.zeros(r_sum.size, dtype=bool)
+    in_rows[rows] = True
+    in_cols = np.zeros(c_sum.size, dtype=bool)
+    in_cols[cols] = True
+    if np.all(r_sum[rows] == cols.size) and np.all(in_cols[ci[in_rows[ri]]]):
+        return weight[k]
+    return None
+
+
 def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
     """Largest singular value of the 0/1 matrix with ones at (ri[k], ci[k]).
 
     Rows and columns are numbered from 0 without gaps; no pair repeats.
-    The norm is the largest over the connected blocks of the row/column
-    graph; a block with one row, one column or no zero has norm sqrt(nnz).
-    Any other block that may beat the running maximum (by its Frobenius and
-    Schur bounds) is power-iterated on its Gram matrix G from a positive v
-    between the Collatz-Wielandt bounds sqrt(v.Gv/v.v) and sqrt(max_i
-    (Gv)_i/v_i), to relative width `tol` or until rounding stops the
-    interval shrinking, and gives the lower end.  A block's value depends
-    only on its entries in their given order, so a block-diagonal matrix
-    gets, bit for bit, the largest of its blocks' own norms.
+    When `_attained_count` certifies max r_i c_j over the ones (r_i, c_j the
+    row and column counts), the norm is its square root, the value the
+    block path gives that closed block, which wins there.
+
+    Otherwise the norm is the largest over the connected blocks of the
+    row/column graph; a block with one row, one column or no zero has norm
+    sqrt(nnz).  The other blocks are visited by decreasing size, and any
+    that may beat the running maximum (by its Frobenius and Schur bounds)
+    is power-iterated on its Gram matrix G from a positive v between the
+    Collatz-Wielandt bounds sqrt(v.Gv/v.v) and sqrt(max_i (Gv)_i/v_i), to
+    relative width `tol` or until rounding stops the interval shrinking,
+    and gives the lower end.  Entries are gathered only for the visited
+    blocks, in runs of 1, 2, 4, ... blocks, one scan of the entries per
+    run.  A block's value depends only on its entries in their given order,
+    so a block-diagonal matrix gets, bit for bit, the largest of its blocks'
+    own norms.
     """
     # imported here: csgraph adds tens of ms and about 9 MB to importing
     # the package, and only tensor norms need it
@@ -326,35 +378,49 @@ def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
 
     if ri.size == 0:
         return 0.0
-    nr, nc = int(ri.max()) + 1, int(ci.max()) + 1
+    r_sum, c_sum = np.bincount(ri), np.bincount(ci)
+    count = _attained_count(ri, ci, r_sum, c_sum)
+    if count is not None:
+        return float(np.sqrt(count))
+    nr, nc = r_sum.size, c_sum.size
     graph = sp.coo_matrix((np.ones(ri.size, dtype=np.int8), (ri, ci + nr)),
                           shape=(nr + nc, nr + nc))
     n_blocks, label = connected_components(graph, directed=False)
     del graph
     row_label, col_label = label[:nr], label[nr:]
-    block = row_label[ri]
-    nnz = np.bincount(block, minlength=n_blocks)
+    nnz = np.bincount(row_label, weights=r_sum, minlength=n_blocks).astype(np.int64)
     n_rows = np.bincount(row_label, minlength=n_blocks)
     n_cols = np.bincount(col_label, minlength=n_blocks)
     closed = (n_rows == 1) | (n_cols == 1) | (nnz == n_rows * n_cols)
     best = float(np.sqrt(nnz[closed].max(initial=0)))
-    open_blocks = np.flatnonzero(~closed)
-    if open_blocks.size == 0:
-        return best
     max_row = np.zeros(n_blocks, dtype=np.int64)
-    np.maximum.at(max_row, row_label, np.bincount(ri, minlength=nr))
+    np.maximum.at(max_row, row_label, r_sum)
     max_col = np.zeros(n_blocks, dtype=np.int64)
-    np.maximum.at(max_col, col_label, np.bincount(ci, minlength=nc))
-    size = nnz[open_blocks]
-    bound = np.sqrt(np.minimum(size, (max_row * max_col)[open_blocks]))
-    # entries of the open blocks, grouped by block, each in its given order
-    entries = np.flatnonzero(~closed[block])
-    entries = entries[_stable_order(block[entries])[0]]
-    stops = np.cumsum(size)
-    for j in np.argsort(-size, kind="stable"):
+    np.maximum.at(max_col, col_label, c_sum)
+    bound = np.sqrt(np.minimum(nnz, max_row * max_col))
+    # the open blocks that may beat the closed ones, by decreasing size
+    visit = np.flatnonzero(~closed & (bound > best))
+    if visit.size == 0:
+        return best
+    visit = visit[np.argsort(-nnz[visit], kind="stable")]
+    size, bound = nnz[visit], bound[visit]
+    # each entry's block by its place in that order (visit.size if none)
+    rank = np.full(n_blocks, visit.size, dtype=np.int32)
+    rank[visit] = np.arange(visit.size)
+    block = rank[row_label][ri]
+    first = stop = 0
+    for j in range(visit.size):
         if bound[j] <= best:
             continue
-        sel = entries[stops[j] - size[j]:stops[j]]
+        if j >= stop:
+            # gather the entries of the next run of blocks (1, 2, 4, ...
+            # blocks long), grouped by block, each in its given order
+            first, stop = j, min(visit.size, j + max(1, 2 * (stop - first)))
+            run = np.flatnonzero((block >= first) & (block < stop))
+            run = run[_stable_order(block[run] - first)[0]]
+            ends = np.cumsum(size[first:stop])
+        end = ends[j - first]
+        sel = run[end - size[j]:end]
         r = _lex_ids((ri[sel],), sel.size)
         c = _lex_ids((ci[sel],), sel.size)
         if r.max() < c.max():  # iterate on the smaller side

@@ -26,19 +26,17 @@ __all__ = ["NoisePath", "lockstep_increments"]
 BLOCK_ENTRIES = 2**15  # complex increments (512 KB) held per block of an ensemble
 
 
-def _increment_blocks(
-    lattice: ModeLattice, horizon: float, n_steps: int, seed: int, block: int
-) -> Iterator[np.ndarray]:
-    """The increments of one seeded path, `block` steps at a time.
+def _normals(seed: int) -> np.random.Generator:
+    """The generator whose standard normals drive the path of `seed`."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
 
-    The generator fills its normals in order, so consecutive blocks
-    concatenate to a single draw of all n_steps.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    h = horizon / n_steps
-    for start in range(0, n_steps, block):
-        z = rng.standard_normal((min(block, n_steps - start), lattice.n_modes, 2))
-        yield np.sqrt(h / 2.0) * (z[..., 0] + 1j * z[..., 1])
+
+def _increments(z: np.ndarray, horizon: float, n_steps: int) -> np.ndarray:
+    """The increments sqrt(h/2) (z[..., 0] + i z[..., 1]) of the normals
+    z[..., 2], as a complex view of z scaled in place: scaling each part
+    gives the bits of the complex product."""
+    z *= np.sqrt(horizon / n_steps / 2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def lockstep_increments(
@@ -48,16 +46,17 @@ def lockstep_increments(
 
     Yields n_steps arrays of shape (len(seeds), n_modes).  Memory holds one
     block of steps of every path, about BLOCK_ENTRIES values, not whole
-    paths.
+    paths.  Each block is laid out member by member, so every generator
+    fills its own contiguous slice; a generator fills its normals in order,
+    so consecutive blocks continue a single draw of all n_steps.
     """
     block = max(1, BLOCK_ENTRIES // (len(seeds) * lattice.n_modes))
-    streams = [_increment_blocks(lattice, horizon, n_steps, s, block) for s in seeds]
+    streams = [_normals(s) for s in seeds]
     for start in range(0, n_steps, block):
-        buf = np.empty((min(block, n_steps - start), len(seeds), lattice.n_modes),
-                       dtype=np.complex128)
-        for i, stream in enumerate(streams):
-            buf[:, i] = next(stream)
-        yield from buf
+        z = np.empty((len(seeds), min(block, n_steps - start), lattice.n_modes, 2))
+        for rng, zi in zip(streams, z):
+            rng.standard_normal(out=zi)
+        yield from _increments(z, horizon, n_steps).swapaxes(0, 1)
 
 
 @dataclass
@@ -84,8 +83,8 @@ class NoisePath:
     def generate(
         cls, lattice: ModeLattice, horizon: float, n_steps: int, seed: int
     ) -> "NoisePath":
-        (inc,) = _increment_blocks(lattice, horizon, n_steps, seed, n_steps)
-        return cls(lattice, horizon, inc, int(seed), 0)
+        z = _normals(seed).standard_normal((n_steps, lattice.n_modes, 2))
+        return cls(lattice, horizon, _increments(z, horizon, n_steps), int(seed), 0)
 
     def refine(self) -> "NoisePath":
         """Halve the step; pairwise sums of the result equal this path."""

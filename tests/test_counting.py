@@ -1,5 +1,7 @@
 """Counting queries, sparse convolution tensors, matricization norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from torus_phi4 import (
     verify_tensor_bounds,
 )
 from torus_phi4 import counting
-from torus_phi4.counting import (_FAM1, _FAM2, NORM_TOL, _flatten, _flattening_norm,
-                                 _lex_ids, _norm, _slot_ranks, _stable_order)
+from torus_phi4.counting import (_FAM1, _FAM2, NORM_TOL, _attained_count, _flatten,
+                                 _flattening_norm, _lex_ids, _norm, _slot_ranks,
+                                 _stable_order)
 from torus_phi4.spectral import bracket
 
 
@@ -386,6 +389,21 @@ def test_lone_slot_norms_equal_block_norms_bit_for_bit(seed):
                 assert matricization_norm(tk, rows) == want  # the per_level=False value
 
 
+def test_build_tensor_peak_above_the_tensor():
+    # one slot index is alive at a time: the traced peak lies 16 bytes an
+    # entry above the tensor returned (32 with all three slot indices alive)
+    build_tensor((4, 2, 2))
+    tracemalloc.start()
+    try:
+        t = build_tensor((4, 2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(t, f).nbytes for f in ("n", "n1", "n2", "n3", "levels"))
+    assert t.nnz == 186_480
+    assert peak - kept <= 20 * t.nnz
+
+
 @pytest.mark.parametrize("centers", [((40_000, 0), (0, 0), (0, 0)),
                                      ((0, 0), (0, -40_000), (0, 0)),
                                      ((20_000, 0), (-20_000, 0), (0, 0))])
@@ -433,21 +451,29 @@ def test_norms_of_random_shells_match_dense_svd(seed):
     assert sups == best
 
 
-def _block_diagonal(blocks, rng):
-    """(ri, ci) of the block-diagonal 0/1 matrix of the given dense blocks,
-    with rows, columns and entries shuffled."""
-    ri, ci, r0, c0 = [], [], 0, 0
-    for b in blocks:
+def _shuffled_blocks(blocks, rng):
+    """(ri, ci, owner) of the block-diagonal 0/1 matrix of the given dense
+    blocks, with rows, columns and entries shuffled; owner[k] is the index
+    of the block holding entry k."""
+    ri, ci, owner, r0, c0 = [], [], [], 0, 0
+    for k, b in enumerate(blocks):
         r, c = np.nonzero(b)
         ri.append(r + r0)
         ci.append(c + c0)
+        owner.append(np.full(r.size, k))
         r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
     ri = rng.permutation(r0)[np.concatenate(ri)]
     ci = rng.permutation(c0)[np.concatenate(ci)]
     order = rng.permutation(ri.size)
-    dense = np.zeros((r0, c0))
+    return ri[order], ci[order], np.concatenate(owner)[order]
+
+
+def _block_diagonal(blocks, rng):
+    """(ri, ci) of `_shuffled_blocks`, and the norm by a dense SVD."""
+    ri, ci, _ = _shuffled_blocks(blocks, rng)
+    dense = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
     dense[ri, ci] = 1.0
-    return ri[order], ci[order], float(np.linalg.svd(dense, compute_uv=False)[0])
+    return ri, ci, float(np.linalg.svd(dense, compute_uv=False)[0])
 
 
 def test_flattening_norm_on_mixed_blocks():
@@ -488,6 +514,112 @@ def test_flattening_norm_takes_each_block_in_its_given_order():
         assert whole == max(alone)
         values.add(whole)
     assert len(values) > 1
+
+
+def _count_graph_searches(monkeypatch, fail=False):
+    """Count (or forbid) the block splits of `_flattening_norm`."""
+    import scipy.sparse.csgraph as csgraph
+
+    calls, search = [], csgraph.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if fail:
+            raise AssertionError("graph search where the count bound is attained")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_attained_count_equals_block_path_bit_for_bit(seed, monkeypatch):
+    # planted closed all-ones blocks win, two of them with equal counts,
+    # among a general block and a star of lower count products
+    rng = np.random.default_rng(seed)
+    general = (rng.random((6, 6)) < 0.5).astype(float)
+    general[0, :3] = general[:3, 0] = 1.0
+    assert not general.all()
+    blocks = [np.ones((5, 7)), general, np.ones((7, 5)), np.ones((3, 3)),
+              np.ones((1, 9))]
+    ri, ci, dense = _block_diagonal([blocks[k] for k in rng.permutation(5)], rng)
+    assert _attained_count(ri, ci, np.bincount(ri), np.bincount(ci)) == 35
+    calls = _count_graph_searches(monkeypatch)
+    got = _flattening_norm(ri, ci, 1e-12)
+    assert calls == []
+    monkeypatch.setattr(counting, "_attained_count", lambda *args: None)
+    assert got == _flattening_norm(ri, ci, 1e-12) == np.sqrt(35.0)
+    assert calls == [1]
+    _assert_near_dense(got, dense, seed)
+
+
+def test_attained_count_fails_on_a_pendant_of_the_heaviest_column(monkeypatch):
+    # an all-ones 3 x 4 block and one more row holding a single one in its
+    # column 0: that column's count product 4 * 4 is the largest, but its
+    # rows and the columns of a full row do not span an all-ones submatrix
+    mat = np.zeros((4, 4))
+    mat[:3] = 1.0
+    mat[3, 0] = 1.0
+    ri, ci, dense = _block_diagonal([mat], np.random.default_rng(2))
+    assert _attained_count(ri, ci, np.bincount(ri), np.bincount(ci)) is None
+    calls = _count_graph_searches(monkeypatch)
+    val = _flattening_norm(ri, ci, 1e-12)
+    assert calls == [1]
+    assert np.sqrt(12.0) < val < 4.0
+    _assert_near_dense(val, dense, "pendant")
+
+
+def test_fiber_norm_sup_needs_no_graph_search(monkeypatch):
+    # off resonance every fiber block is a complete product of a row set and
+    # a column set, and at (2,2,2) every level-keyed flattening attains its
+    # count bound on such a block: sqrt(82) and sqrt(78), as the block path
+    # gave them
+    t = build_tensor((2, 2, 2))
+    _count_graph_searches(monkeypatch, fail=True)
+    assert fiber_norm_sup(t) == {"norm1": 9.055385138137417,
+                                 "norm2": 8.831760866327848}
+
+
+@pytest.mark.parametrize("lead", [False, True])
+def test_open_blocks_are_gathered_as_visited(lead, monkeypatch):
+    # 300 open blocks (2 x 2 less one entry) of bound sqrt(3) above their
+    # norm, the golden ratio, among 3000 lone entries.  Alone, every one is
+    # iterated, and the entries are scanned once per run of 1, 2, 4, ...
+    # blocks, not once per block.  Led by a 6 x 6 block less one entry,
+    # whose norm beats their bound, none of them is gathered.  Either way
+    # the value is the largest of the blocks' own values.
+    big = np.ones((6, 6))
+    big[0, 0] = 0.0
+    corner = big[:2, :2]
+    blocks = [big] * lead + [corner] * 300 + [np.ones((1, 1))] * 3000
+    ri, ci, owner = _shuffled_blocks(blocks, np.random.default_rng(5))
+    alone = [_flattening_norm(np.unique(ri[owner == b], return_inverse=True)[1],
+                              np.unique(ci[owner == b], return_inverse=True)[1], 1e-12)
+             for b in range(lead + 300)]
+    scans, keys = [], []
+    flatnonzero, stable_order = np.flatnonzero, counting._stable_order
+
+    def counted_scan(a):
+        if np.size(a) == ri.size:
+            scans.append(1)
+        return flatnonzero(a)
+
+    def counted_sort(key):
+        keys.append(key.size)
+        return stable_order(key)
+
+    monkeypatch.setattr(np, "flatnonzero", counted_scan)
+    monkeypatch.setattr(counting, "_stable_order", counted_sort)
+    whole = _flattening_norm(ri, ci, 1e-12)
+    monkeypatch.undo()
+    assert whole == max(alone)
+    if lead:
+        assert len(scans) == 1
+        assert sum(keys) <= 3 * 35  # the grouping and relabels of 35 entries
+        _assert_near_dense(whole, np.linalg.svd(big, compute_uv=False)[0], "lead")
+    else:
+        assert 1 <= len(scans) <= 9  # runs of 1, 2, ..., 256 blocks cover 300
+        assert whole == pytest.approx((1 + np.sqrt(5.0)) / 2, rel=1e-12)
 
 
 def test_tensor_norms_where_power_iteration_stalled():

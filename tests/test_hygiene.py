@@ -2,10 +2,14 @@
 
 Pure ``ast`` checks, so they need no linter installed.  The package's
 ``__init__.py`` re-exports names by importing them and is exempt from the
-unused-import rule.
+unused-import rule.  Two import-time checks follow: the package leaves
+``scipy.sparse.csgraph`` unloaded, and the benchmark's tracer finds every
+name it wraps.
 """
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -95,3 +99,33 @@ def test_package_import_leaves_csgraph_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=PACKAGE.parent)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_installs_and_restores_every_name(monkeypatch):
+    # perfbench/tracer.py wraps layer functions where their callers bind
+    # them, read from the owner's __dict__, so a name dropped from the
+    # package breaks traced benchmark runs with a KeyError
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    import numpy.fft
+    import scipy.fft
+
+    modules = [importlib.import_module(f"torus_phi4.{p.stem}") for p in MODULES]
+    owners = modules + [numpy.fft, scipy.fft] + [
+        cls for mod in modules for cls in vars(mod).values()
+        if inspect.isclass(cls) and cls.__module__ == mod.__name__]
+    before = {id(o): dict(vars(o)) for o in owners}
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert len(t._saved) > 20
+        for owner, attr, original in t._saved:
+            assert original is before[id(owner)][attr], (owner, attr)
+            assert vars(owner)[attr] is not original, (owner, attr)
+    finally:
+        t.uninstall()
+    for owner in owners:
+        now = vars(owner)
+        assert now.keys() == before[id(owner)].keys(), owner
+        changed = [a for a, v in before[id(owner)].items() if now[a] is not v]
+        assert not changed, (owner, changed)
