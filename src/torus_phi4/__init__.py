@@ -17,8 +17,7 @@ from .nonlinearity import (mass, quartic_mean, cubic, resonant, nonpairing,
                            renormalized_cubic, wick_cubic, conserved_energy,
                            oracle_trilinear, TrilinearSpec)
 from .gibbs import (mode_variance_sum, sample_gff, renormalized_potential,
-                    wick_potential, wick_action, sample_gibbs_pcn,
-                    sample_gibbs_pcn_chains,
+                    wick_potential, wick_action, sample_gibbs_pcn_chains,
                     check_exponential_moments)
 from .noise import NoisePath, lockstep_increments
 from .flows import (propagator, stochastic_convolution, linear_evolution,

@@ -135,6 +135,8 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     z_max = float(cfg.get("z_max", 3.0))
     beta = float(cfg.get("beta", 0.1))
     chain_steps = int(cfg.get("chain_steps", 20_000))
+    if ensemble < 2:
+        raise ValueError(f"invariance needs ensemble >= 2 for its standard errors, got {ensemble}")
     lattice = ModeLattice(n_cut)
     sigma = mode_variance_sum(n_cut)
 
@@ -158,11 +160,10 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
                      horizon / n_steps, dyn)
     for k, c in enumerate(steps):
         for j in (j for j, kc in enumerate(checkpoints) if kc == k):
+            u = FourierField(lattice, c)
             obs[j, :, :lattice.n_modes] = np.abs(c) ** 2
-            for m in range(ensemble):
-                u = FourierField(lattice, c[m])
-                obs[j, m, -2] = wick_potential(u, n_cut)
-                obs[j, m, -1] = field_mass(u)
+            obs[j, :, -2] = wick_potential(u, n_cut)
+            obs[j, :, -1] = field_mass(u)
 
     base = obs[0]
     zrows = []

@@ -30,18 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearity import mass, quartic_mean
 from .spectral import FourierField, ModeLattice, project_leq
 
 __all__ = [
     "sample_gff",
-    "gaussian_from_standard",
     "mode_variance_sum",
     "renormalized_potential",
     "wick_potential",
     "wick_action",
     "PCNResult",
-    "sample_gibbs_pcn",
     "sample_gibbs_pcn_chains",
     "check_exponential_moments",
 ]
@@ -57,36 +54,39 @@ def mode_variance_sum(n_cut: float) -> float:
     return float(np.sum(lat.brackets**-2.0))
 
 
-def gaussian_from_standard(lattice: ModeLattice, g: np.ndarray) -> FourierField:
-    """Free-field sample from a vector of standard complex Gaussians."""
-    return FourierField(lattice, np.asarray(g, dtype=np.complex128) / lattice.brackets)
-
-
 def sample_gff(lattice: ModeLattice, rng: np.random.Generator) -> FourierField:
     """Draw one free-field sample u_hat(n) = g_n / <n>."""
     g = (
         rng.standard_normal(lattice.n_modes) + 1j * rng.standard_normal(lattice.n_modes)
     ) / np.sqrt(2.0)
-    return gaussian_from_standard(lattice, g)
+    return FourierField(lattice, g / lattice.brackets)
 
 
-def renormalized_potential(u: FourierField, n_cut: float) -> float:
-    """Phi_N(u) = -(1/4) avg|u_N|^4 - mass(u_N)^2 with u_N the <n><=N part."""
-    uN = project_leq(u, n_cut)
-    return -0.25 * quartic_mean(uN) - mass(uN) ** 2
+def renormalized_potential(u: FourierField, n_cut: float) -> float | np.ndarray:
+    """Phi_N(u) = -(1/4) avg|u_N|^4 - mass(u_N)^2 with u_N the <n><=N part.
+
+    A float for one field, an array of the leading shape for a stack.
+    """
+    m2, m4 = u.lattice.moments(project_leq(u, n_cut).coeffs)
+    phi = -0.25 * m4 - m2**2
+    return float(phi) if phi.ndim == 0 else phi
 
 
-def wick_potential(u: FourierField, n_cut: float, sigma: float | None = None) -> float:
-    """(1/4) avg(:|u_N|^4:) with the Wick constant of the same cutoff."""
-    uN = project_leq(u, n_cut)
+def wick_potential(u: FourierField, n_cut: float,
+                   sigma: float | None = None) -> float | np.ndarray:
+    """(1/4) avg(:|u_N|^4:) with the Wick constant of the same cutoff.
+
+    A float for one field, an array of the leading shape for a stack.
+    """
     if sigma is None:
         sigma = mode_variance_sum(n_cut)
-    m2 = mass(uN)
-    m4 = quartic_mean(uN)
-    return 0.25 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
+    m2, m4 = u.lattice.moments(project_leq(u, n_cut).coeffs)
+    w = 0.25 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
+    return float(w) if w.ndim == 0 else w
 
 
-def wick_action(u: FourierField, n_cut: float, sigma: float | None = None) -> float:
+def wick_action(u: FourierField, n_cut: float,
+                sigma: float | None = None) -> float | np.ndarray:
     """Dynamics-consistent Wick action 2*wick_potential (up to a constant).
 
     exp(-wick_action) d(gaussian) is the exact stationary law of the
@@ -106,57 +106,6 @@ class PCNResult:
     n_steps: int
 
 
-def sample_gibbs_pcn(
-    lattice: ModeLattice,
-    potential: str,
-    n_samples: int,
-    rng: np.random.Generator,
-    beta: float = 0.3,
-    burn_in: int = 500,
-    thin: int = 10,
-    n_cut: float | None = None,
-) -> PCNResult:
-    """Preconditioned Crank-Nicolson chain targeting exp(-Phi) d(gaussian).
-
-    potential: 'quartic' for the sign-definite renormalized interaction
-    (Phi = -renormalized_potential) or 'wick' for the dynamics-consistent
-    Wick action.  The proposal u' = sqrt(1-beta^2) u + beta w (w a fresh
-    free-field draw) is reversible for the Gaussian, so the acceptance
-    ratio involves only the potential difference.
-    """
-    if n_cut is None:
-        n_cut = lattice.n_cut
-    if potential == "quartic":
-        def phi(u):
-            return -renormalized_potential(u, n_cut)
-    elif potential == "wick":
-        sigma = mode_variance_sum(n_cut)
-        def phi(u):
-            return wick_action(u, n_cut, sigma)
-    else:
-        raise ValueError("potential must be 'quartic' or 'wick'")
-
-    u = sample_gff(lattice, rng)
-    phi_u = phi(u)
-    n_steps = burn_in + n_samples * thin
-    accepted = 0
-    fields = []
-    trace = np.empty(n_steps)
-    sq = np.sqrt(1.0 - beta**2)
-    for k in range(n_steps):
-        w = sample_gff(lattice, rng)
-        prop = FourierField(lattice, sq * u.coeffs + beta * w.coeffs)
-        phi_p = phi(prop)
-        if np.log(rng.uniform()) < phi_u - phi_p:
-            u, phi_u = prop, phi_p
-            accepted += 1
-        trace[k] = phi_u
-        if k >= burn_in and (k - burn_in) % thin == thin - 1:
-            fields.append(u.copy())
-    rate = accepted / n_steps
-    return PCNResult(fields, rate, trace, beta, n_steps)
-
-
 def sample_gibbs_pcn_chains(
     lattice: ModeLattice,
     potential: str,
@@ -165,55 +114,64 @@ def sample_gibbs_pcn_chains(
     beta: float = 0.1,
     n_steps: int = 20_000,
 ) -> PCNResult:
-    """Independent pCN chains advanced in lockstep, one sample per chain.
+    """Preconditioned Crank-Nicolson chains targeting exp(-Phi) d(gaussian),
+    advanced in lockstep, one sample per chain.
 
-    Because every returned field is the endpoint of its own chain, the
-    samples are mutually independent — unlike thinned states of a single
-    chain, whose residual correlation is hard to bound in slowly mixing
-    regimes.  All chains share each step's batched FFT work, so the
-    lockstep sweep costs little more than a single long chain.
+    potential: 'quartic' (Phi = -renormalized_potential) or 'wick' (Phi =
+    wick_action).  The proposal u' = sqrt(1-beta^2) u + beta w, with w a
+    fresh free-field draw and 0 < beta <= 1, is reversible for the Gaussian,
+    so the acceptance ratio involves only the action difference.  Every
+    returned field is the endpoint of its own chain, so the samples are
+    independent, unlike thinned states of one slowly mixing chain.  A step
+    draws into fixed buffers, forms the proposal in place and evaluates all
+    chains' actions by one call of ModeLattice.moments (two DFT products up
+    to N = 16, batched FFTs above), allocating nothing.
     """
     if potential == "wick":
         sigma = mode_variance_sum(lattice.n_cut)
 
-        def phi(m2, m4):
-            return 0.5 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
+        def phi(m2, m4, out):  # 0.5 * (m4 - 4 sigma m2 + 2 sigma^2)
+            np.multiply(m2, 4.0 * sigma, out=out)
+            np.subtract(m4, out, out=out)
+            out += 2.0 * sigma**2
+            out *= 0.5
     elif potential == "quartic":
-        def phi(m2, m4):
-            return 0.25 * m4 + m2**2
+        def phi(m2, m4, out):  # 0.25 * m4 + m2^2
+            np.multiply(m4, 0.25, out=out)
+            out += np.square(m2, out=m2)
     else:
         raise ValueError("potential must be 'quartic' or 'wick'")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"pCN step beta must satisfy 0 < beta <= 1, got {beta}")
+    if n_chains < 1 or n_steps < 1:
+        raise ValueError(f"pCN needs n_chains >= 1 and n_steps >= 1, "
+                         f"got n_chains={n_chains}, n_steps={n_steps}")
 
-    scale = 1.0 / (np.sqrt(2.0) * lattice.brackets)
-    points = lattice.M**2
-
-    def draw(n):
-        g = rng.standard_normal((n, lattice.n_modes, 2)).view(np.complex128)
-        return g[..., 0] * scale
-
-    def moments(c):
-        a = np.abs(c)
-        a *= a
-        m2 = a.sum(axis=1)
-        g = lattice.to_grid(c)
-        a = np.abs(g, out=lattice._workspace("real", g.shape, np.float64))
-        a *= a
-        a *= a
-        return m2, a.sum(axis=(-2, -1)) / points
-
-    u = draw(n_chains)
-    phi_u = phi(*moments(u))
+    u, prop, w = (np.empty((n_chains, lattice.n_modes), np.complex128) for _ in range(3))
+    # real factors act on the (re, im) pairs: the bits of the complex products
+    # by (x + 0j) in u' = sq * u + beta * (g / (sqrt(2) <n>))
+    u_, prop_, w_ = (a.view(np.float64) for a in (u, prop, w))
+    normals = np.empty_like(u_)
+    scale = np.repeat(1.0 / (np.sqrt(2.0) * lattice.brackets), 2)
+    phi_u, phi_p, log_r, gap = (np.empty(n_chains) for _ in range(4))
+    acc = np.empty(n_chains, bool)
+    np.multiply(rng.standard_normal(out=normals), scale, out=u_)
+    phi(*lattice.moments(u), phi_u)
     sq = np.sqrt(1.0 - beta**2)
     accepted = 0
     trace = np.empty(n_steps)
     for k in range(n_steps):
-        prop = sq * u + beta * draw(n_chains)
-        phi_p = phi(*moments(prop))
-        acc = np.log(rng.uniform(size=n_chains)) < phi_u - phi_p
-        u[acc] = prop[acc]
-        phi_u[acc] = phi_p[acc]
-        accepted += int(acc.sum())
-        trace[k] = phi_u.mean()
+        np.multiply(rng.standard_normal(out=normals), scale, out=w_)
+        w_ *= beta
+        np.multiply(u_, sq, out=prop_)
+        prop_ += w_
+        phi(*lattice.moments(prop), phi_p)
+        np.log(rng.random(out=log_r), out=log_r)
+        np.less(log_r, np.subtract(phi_u, phi_p, out=gap), out=acc)
+        np.copyto(u, prop, where=acc[:, None])
+        np.copyto(phi_u, phi_p, where=acc)
+        accepted += np.count_nonzero(acc)
+        trace[k] = phi_u.sum() / n_chains
     fields = [FourierField(lattice, u[k].copy()) for k in range(n_chains)]
     return PCNResult(fields, accepted / (n_steps * n_chains), trace, beta, n_steps)
 

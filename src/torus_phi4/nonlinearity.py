@@ -48,10 +48,13 @@ def mass(u: FourierField) -> float | np.ndarray:
     return float(m) if m.ndim == 0 else m
 
 
-def quartic_mean(u: FourierField) -> float:
-    """Normalized spatial average of |u|^4, exact on the dealiased grid."""
-    w = u.to_physical()
-    return float(np.mean(np.abs(w) ** 4))
+def quartic_mean(u: FourierField) -> float | np.ndarray:
+    """Normalized spatial average of |u|^4, exact on the dealiased grid.
+
+    A float for one field, an array of the leading shape for a stack.
+    """
+    m4 = u.lattice.moments(u.coeffs)[1]
+    return float(m4) if m4.ndim == 0 else m4.copy()
 
 
 def _cube(lat: ModeLattice, c: np.ndarray) -> np.ndarray:

@@ -141,6 +141,22 @@ def test_cli_exit_two_on_mass_blowup(tmp_path, capsys):
     assert not (tmp_path / "out" / "invariance.json").exists()
 
 
+@pytest.mark.parametrize("bad", ["ensemble = 1", "ensemble = 0", "beta = 1.5",
+                                 "beta = 0", "chain_steps = 0", "chain_steps = -5"])
+def test_cli_exit_two_on_bad_invariance_config(tmp_path, capsys, bad):
+    # one member has no standard error, and beta outside (0, 1] or an empty
+    # chain is no pCN sampler: each stops before any report is written
+    cfg_file = tmp_path / "inv.cfg"
+    cfg_file.write_text("ensemble = 4\nn_cut = 2\nchain_steps = 10\n"
+                        "n_steps = 10\nhorizon = 0.01\n" + bad + "\n")
+    assert main(["invariance", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 # -- lockstep commands against their per-member oracles ----------------------
 # The oracles are the commands' former bodies: one `evolve` run per member
 # (and per gamma), with each member's path from NoisePath.generate.

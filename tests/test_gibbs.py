@@ -13,7 +13,6 @@ from torus_phi4 import (
     quartic_mean,
     renormalized_potential,
     sample_gff,
-    sample_gibbs_pcn,
     sample_gibbs_pcn_chains,
     sobolev_norm,
     wick_action,
@@ -83,6 +82,7 @@ def test_potential_cutoff_projects_first():
     assert renormalized_potential(u, 2) == pytest.approx(
         renormalized_potential(uN, 2), abs=1e-13
     )
+    assert wick_potential(u, 2) == pytest.approx(wick_potential(uN, 2), abs=1e-13)
 
 
 def _radial_moment(phi_of_r2):
@@ -94,12 +94,12 @@ def _radial_moment(phi_of_r2):
 
 @pytest.mark.parametrize("potential", ["quartic", "wick"])
 def test_pcn_single_mode_matches_quadrature(potential):
-    # n_cut = 1: one complex mode, target density known up to a constant
+    # n_cut = 1: one complex mode, target density known up to a constant;
+    # each sample is the endpoint of its own chain, so the samples are
+    # independent and their standard error is the plain one
     lat = ModeLattice(1)
     rng = np.random.default_rng(17)
-    res = sample_gibbs_pcn(
-        lat, potential, n_samples=6000, rng=rng, beta=0.5, burn_in=500, thin=4
-    )
+    res = sample_gibbs_pcn_chains(lat, potential, 6000, rng, beta=0.5, n_steps=200)
     assert 0.05 < res.acceptance_rate < 0.95
     samples = np.array([abs(f.coeffs[0]) ** 2 for f in res.fields])
     if potential == "quartic":
@@ -108,7 +108,6 @@ def test_pcn_single_mode_matches_quadrature(potential):
         sig = 1.0  # mode_variance_sum(1)
         oracle = _radial_moment(lambda m: 0.5 * (m**2 - 4 * sig * m + 2 * sig**2))
     se = samples.std(ddof=1) / np.sqrt(len(samples))
-    # thinning leaves residual autocorrelation; allow an inflated band
     assert abs(samples.mean() - oracle) < 6 * se
 
 
@@ -133,9 +132,97 @@ def test_pcn_chains_trace_is_mean_action(potential):
 def test_pcn_rejects_unknown_potential():
     lat = ModeLattice(1)
     with pytest.raises(ValueError):
-        sample_gibbs_pcn(lat, "cubic", 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
         sample_gibbs_pcn_chains(lat, "cubic", 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"beta": 1.5}, {"beta": 0.0}, {"beta": -0.1}, {"beta": float("nan")},
+    {"n_steps": 0}, {"n_steps": -3}, {"n_chains": 0}])
+def test_pcn_rejects_bad_step_sizes_and_counts(kwargs):
+    args = {"n_chains": 2, "beta": 0.1, "n_steps": 5, **kwargs}
+    with pytest.raises(ValueError):
+        sample_gibbs_pcn_chains(ModeLattice(2), "wick", rng=np.random.default_rng(0), **args)
+
+
+def test_pcn_accepts_the_independence_step():
+    # beta = 1 proposes a fresh free field each step
+    res = sample_gibbs_pcn_chains(ModeLattice(2), "quartic", 3, np.random.default_rng(0),
+                                  beta=1.0, n_steps=20)
+    assert 0.0 < res.acceptance_rate <= 1.0
+
+
+def _reference_pcn_chains(lattice, potential, n_chains, rng, beta, n_steps):
+    """The lockstep sweep as it stood before its buffers were preallocated:
+    fresh arrays each step, |u| with a square root, and the to_grid transform."""
+    if potential == "wick":
+        sigma = mode_variance_sum(lattice.n_cut)
+
+        def phi(m2, m4):
+            return 0.5 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
+    else:
+        def phi(m2, m4):
+            return 0.25 * m4 + m2**2
+
+    scale = 1.0 / (np.sqrt(2.0) * lattice.brackets)
+    points = lattice.M**2
+
+    def draw(n):
+        g = rng.standard_normal((n, lattice.n_modes, 2)).view(np.complex128)
+        return g[..., 0] * scale
+
+    def moments(c):
+        a = np.abs(c)
+        a *= a
+        m2 = a.sum(axis=1)
+        g = lattice.to_grid(c)
+        a = np.abs(g, out=lattice._workspace("real", g.shape, np.float64))
+        a *= a
+        a *= a
+        return m2, a.sum(axis=(-2, -1)) / points
+
+    u = draw(n_chains)
+    phi_u = phi(*moments(u))
+    sq = np.sqrt(1.0 - beta**2)
+    accepted = 0
+    trace = np.empty(n_steps)
+    for k in range(n_steps):
+        prop = sq * u + beta * draw(n_chains)
+        phi_p = phi(*moments(prop))
+        acc = np.log(rng.uniform(size=n_chains)) < phi_u - phi_p
+        u[acc] = prop[acc]
+        phi_u[acc] = phi_p[acc]
+        accepted += int(acc.sum())
+        trace[k] = phi_u.mean()
+    return u, accepted / (n_steps * n_chains), trace
+
+
+@pytest.mark.parametrize("potential", ["quartic", "wick"])
+@pytest.mark.parametrize("n_cut, n_chains, n_steps", [
+    (1, 8, 400), (2, 8, 400), (4, 16, 400), (16.04, 3, 12)])
+@pytest.mark.parametrize("seed", [3, 29])
+def test_pcn_chains_equal_reference_sweep(potential, n_cut, n_chains, n_steps, seed):
+    # same stream, same proposals, same accept decisions: the moments differ
+    # from the reference only in rounding, far below any accept margin
+    lat = ModeLattice(n_cut)
+    ref_u, ref_rate, ref_trace = _reference_pcn_chains(
+        lat, potential, n_chains, np.random.default_rng(seed), 0.3, n_steps)
+    res = sample_gibbs_pcn_chains(lat, potential, n_chains, np.random.default_rng(seed),
+                                  beta=0.3, n_steps=n_steps)
+    assert res.acceptance_rate == ref_rate
+    assert np.array_equal(np.stack([f.coeffs for f in res.fields]), ref_u)
+    assert np.all(np.abs(res.potential_trace - ref_trace) <= 1e-12 * np.abs(ref_trace))
+    # the kernel's per-chain action is the scalar action of each endpoint
+    m2, m4 = lat.moments(ref_u)
+    if potential == "wick":
+        sigma = mode_variance_sum(n_cut)
+        kernel = 0.5 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
+        scalar = [wick_action(f, n_cut) for f in res.fields]
+    else:
+        kernel = 0.25 * m4 + m2**2
+        scalar = [-renormalized_potential(f, n_cut) for f in res.fields]
+    np.testing.assert_allclose(kernel, scalar, rtol=1e-12)
+
+
 
 
 def test_exponential_moments_bounded_and_cauchy():

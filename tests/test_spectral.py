@@ -247,6 +247,28 @@ def test_returned_arrays_and_arguments_are_not_touched(n_cut):
     assert np.array_equal(w, w_in) and np.array_equal(c, c_in)
 
 
+@pytest.mark.parametrize("n_cut", [1, 2, 4, 8, *SWITCH_SIDES])
+def test_moments_match_grid_means(n_cut):
+    lat = ModeLattice(n_cut)
+    c = _edge_and_random_stack(lat, np.random.default_rng(int(4 * n_cut) + 2))
+    m2, m4 = lat.moments(c)
+    assert m2.shape == m4.shape == (2, 4)
+    grid = lat.to_grid(c)
+    np.testing.assert_allclose(m2, np.sum(np.abs(c) ** 2, axis=-1), rtol=1e-13)
+    np.testing.assert_allclose(m4, np.mean(np.abs(grid) ** 4, axis=(-2, -1)), rtol=1e-13)
+    m2, m4 = m2.copy(), m4.copy()
+    if lat.M > 1:  # numpy squares a one-point grid by its scalar path
+        for i, j in np.ndindex(2, 4):
+            assert lat.moments(c[i, j]) == (m2[i, j], m4[i, j])
+
+
+def test_moments_allocate_nothing_on_dft_grids():
+    lat = ModeLattice(16)
+    c = np.random.default_rng(14).standard_normal((2, lat.n_modes)) + 0j
+    assert lat._dft is not None
+    assert _transient_grids(lambda: lat.moments(c), 2 * lat.M**2 * 16) < 0.01
+
+
 def _transient_grids(fn, grid_bytes):
     """tracemalloc peak of a warm call to fn, above what was held before it,
     in units of grid_bytes."""
