@@ -67,7 +67,7 @@ def renormalized_potential(u: FourierField, n_cut: float) -> float | np.ndarray:
 
     A float for one field, an array of the leading shape for a stack.
     """
-    m2, m4 = u.lattice.moments(project_leq(u, n_cut).coeffs)
+    m2, m4 = u.lattice._moments(project_leq(u, n_cut).coeffs)
     phi = -0.25 * m4 - m2**2
     return float(phi) if phi.ndim == 0 else phi
 
@@ -80,7 +80,7 @@ def wick_potential(u: FourierField, n_cut: float,
     """
     if sigma is None:
         sigma = mode_variance_sum(n_cut)
-    m2, m4 = u.lattice.moments(project_leq(u, n_cut).coeffs)
+    m2, m4 = u.lattice._moments(project_leq(u, n_cut).coeffs)
     w = 0.25 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
     return float(w) if w.ndim == 0 else w
 
@@ -124,8 +124,8 @@ def sample_gibbs_pcn_chains(
     returned field is the endpoint of its own chain, so the samples are
     independent, unlike thinned states of one slowly mixing chain.  A step
     draws into fixed buffers, forms the proposal in place and evaluates all
-    chains' actions by one call of ModeLattice.moments (two DFT products up
-    to N = 16, batched FFTs above), allocating nothing.
+    chains' actions by one moment kernel call on one to_grid transform (two
+    DFT products up to N = 16, batched FFTs above), allocating only its grid.
     """
     if potential == "wick":
         sigma = mode_variance_sum(lattice.n_cut)
@@ -156,7 +156,7 @@ def sample_gibbs_pcn_chains(
     phi_u, phi_p, log_r, gap = (np.empty(n_chains) for _ in range(4))
     acc = np.empty(n_chains, bool)
     np.multiply(rng.standard_normal(out=normals), scale, out=u_)
-    phi(*lattice.moments(u), phi_u)
+    phi(*lattice._moments(u), phi_u)
     sq = np.sqrt(1.0 - beta**2)
     accepted = 0
     trace = np.empty(n_steps)
@@ -165,7 +165,7 @@ def sample_gibbs_pcn_chains(
         w_ *= beta
         np.multiply(u_, sq, out=prop_)
         prop_ += w_
-        phi(*lattice.moments(prop), phi_p)
+        phi(*lattice._moments(prop), phi_p)
         np.log(rng.random(out=log_r), out=log_r)
         np.less(log_r, np.subtract(phi_u, phi_p, out=gap), out=acc)
         np.copyto(u, prop, where=acc[:, None])

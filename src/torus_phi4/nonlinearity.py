@@ -53,7 +53,7 @@ def quartic_mean(u: FourierField) -> float | np.ndarray:
 
     A float for one field, an array of the leading shape for a stack.
     """
-    m4 = u.lattice.moments(u.coeffs)[1]
+    m4 = u.lattice._moments(u.coeffs)[1]
     return float(m4) if m4.ndim == 0 else m4.copy()
 
 

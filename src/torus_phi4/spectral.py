@@ -13,18 +13,18 @@ up to DFT_MATRIX_MAX_M points a side transform by two dense DFT products per
 field, with no FFT call; larger ones by band-pruned FFTs, in which only the
 2*n_max + 1 grid columns that can hold a retained mode enter the x-pass.
 
-Each lattice owns the work arrays of its transforms (the frequency band or
-block and the half-transformed stack), of the pointwise steps of the cubic
-kernels (a real grid for |u|^2, a complex one for a phase) and of the moment
-kernel `moments` (mass and quartic mean per row, the pCN sampler's one
-transform a step), one per name and stack shape, made on first use and kept
-as long as the lattice.  Every pass runs in place on one of them or on the
-grid being returned, so a transform allocates only its result (from_grid also
-its first pass, since it leaves its argument as it is).  Without them a call's
-temporaries at N = 64 outgrow glibc's heap trim threshold (twice the largest
-block freed so far): what a call frees goes back to the operating system, and
-the next call faults every page of it in again.  A lattice is therefore not
-safe to share between threads.
+Each lattice owns the work arrays of its transforms (the zero-padded
+coefficients, the frequency band or block and the half-transformed stack), of
+the pointwise steps of the cubic kernels (a real grid for |u|^2, a complex one
+for a phase) and of the moment kernel _moments (mass and quartic mean per row,
+the pCN sampler's one transform a step), one per name and stack shape, made on
+first use and kept as long as the lattice.  Every pass runs in place on one of
+them or on the grid being returned, so a transform allocates only its result
+(from_grid also its first pass, since it leaves its argument as it is).
+Without them a call's temporaries at N = 64 outgrow glibc's heap trim
+threshold (twice the largest block freed so far): what a call frees goes back
+to the operating system, and the next call faults every page of it in again.
+A lattice is therefore not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class ModeLattice:
             f = np.exp(2j * np.pi / self.M * np.outer(np.arange(self.M), k))
             self._dft, self._band_shape = (f, f.conj() / self.M), (side, side)
         self._band_index = np.ravel_multi_index((self.modes % self._band_shape).T, self._band_shape)
-        # band position -> mode index, n_modes (a zero pad) where no mode sits
+        # band position -> mode index, or n_modes (to_grid's zero pad) where no mode sits
         self._band_gather = np.full(np.prod(self._band_shape), self.n_modes)
         self._band_gather[self._band_index] = np.arange(self.n_modes)
-        self._work = {}  # (name, shape) -> work array (see _workspace) or moments' list
+        self._work = {}  # (name, shape) -> work array; see _workspace
 
     def index_of(self, n) -> np.ndarray:
         """Indices of modes `n` (shape (...,2)); -1 where not retained."""
@@ -137,9 +137,12 @@ class ModeLattice:
         the x-pass runs on the band columns only, the y-pass on every row.
         """
         lead, M, lo = coeffs.shape[:-1], self.M, self.n_max + 1
+        # every band position takes its mode from c padded by one zero
+        pad = self._workspace("pad", lead + (self.n_modes + 1,))
+        pad[..., :-1] = coeffs
+        pad[..., -1] = 0.0
         band = self._workspace("band", lead + self._band_shape)
-        band.fill(0.0)
-        band.reshape(lead + (-1,))[..., self._band_index] = coeffs
+        pad.take(self._band_gather, axis=-1, out=band.reshape(lead + (-1,)), mode="clip")
         if self._dft is not None:
             f = self._dft[0]
             half = np.matmul(band, f.T, out=self._workspace("half", band.shape[:-1] + (M,)))
@@ -151,35 +154,25 @@ class ModeLattice:
         grid[..., M - self.n_max:] = band[..., lo:]
         return ifft2(grid, axes=(-1,), norm="forward", overwrite_x=True)
 
-    def moments(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _moments(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mass sum |c|^2 and grid mean |u|^4 = |u^2|^2 of each row of c[..., K],
-        as views of lattice-owned arrays that the next call overwrites.
+        as dot products of the (re, im) pairs with themselves: no square root.
 
-        Small grids gather the frequency block from a zero-padded copy of c and
-        run the DFT products into work arrays, allocating nothing; large grids
-        square to_grid's result in place.
+        Both are lattice-owned arrays of the leading shape, overwritten by the
+        next call and free for the caller to use as scratch until then; the
+        call allocates only to_grid's result.
         """
         lead, M = coeffs.shape[:-1], self.M
-        work = self._work.get(("moments", lead))
-        if work is None:  # m2, m4, then on DFT grids padded c, block, half, grid
-            side = self._band_shape[1]
-            shapes = [(), (), (self.n_modes + 1,), (side, side), (side, M), (M, M)]
-            work = self._work["moments", lead] = [
-                np.zeros(lead + s, np.complex128) for s in shapes[:6 if self._dft else 2]]
-        m2, m4 = work[:2]
-        np.vecdot(coeffs, coeffs, out=m2)
-        if self._dft is None:
-            grid = self.to_grid(coeffs)
-        else:
-            pad, band, half, grid = work[2:]
-            pad[..., :-1] = coeffs
-            pad.take(self._band_gather, axis=-1, out=band.reshape(lead + (-1,)), mode="clip")
-            np.matmul(band, self._dft[0].T, out=half)
-            np.matmul(self._dft[0], half, out=grid)
+        m2 = self._workspace("m2", lead + (1, 1), np.float64)
+        m4 = self._workspace("m4", lead + (1, 1), np.float64)
+        pairs = np.ascontiguousarray(coeffs, np.complex128).view(np.float64)
+        np.matmul(pairs[..., None, :], pairs[..., None], out=m2)
+        grid = self.to_grid(coeffs)
         grid *= grid
-        q = grid.reshape(lead + (-1,))
-        np.divide(np.vecdot(q, q, out=m4).real, M * M, out=m4.real)
-        return m2.real, m4.real
+        q = grid.reshape(lead + (-1,)).view(np.float64)
+        np.matmul(q[..., None, :], q[..., None], out=m4)
+        m4 /= M * M
+        return m2.reshape(lead), m4.reshape(lead)
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of grid values w[..., M, M].

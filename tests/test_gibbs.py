@@ -212,7 +212,7 @@ def test_pcn_chains_equal_reference_sweep(potential, n_cut, n_chains, n_steps, s
     assert np.array_equal(np.stack([f.coeffs for f in res.fields]), ref_u)
     assert np.all(np.abs(res.potential_trace - ref_trace) <= 1e-12 * np.abs(ref_trace))
     # the kernel's per-chain action is the scalar action of each endpoint
-    m2, m4 = lat.moments(ref_u)
+    m2, m4 = lat._moments(ref_u)
     if potential == "wick":
         sigma = mode_variance_sum(n_cut)
         kernel = 0.5 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
