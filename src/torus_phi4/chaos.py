@@ -18,8 +18,7 @@ refinement error, and members of different orders are orthogonal.
 
 Hermite polynomials with variance parameter sigma (generating function
 exp(t x - sigma t^2 / 2)) are provided for the one-dimensional chaos
-correspondence, together with the binomial shift identity
-H_k(x+y) = sum_l C(k,l) x^{k-l} H_l(y).
+correspondence.
 """
 
 from __future__ import annotations
@@ -35,14 +34,12 @@ from .spectral import FourierField, ModeLattice
 
 __all__ = [
     "hermite",
-    "hermite_shift",
     "CellGrid",
     "ChaosKernel",
     "multi_integral",
     "kernel_inner",
     "symmetrize",
     "outer",
-    "linear_from_paths",
     "cubic_via_chaos",
     "hypercontractivity_ratio",
 ]
@@ -64,15 +61,6 @@ def hermite(k: int, x, sigma: float = 1.0):
     for j in range(1, k):
         h, h_prev = x * h - j * sigma * h_prev, h
     return h
-
-
-def hermite_shift(k: int, x, y, sigma: float = 1.0):
-    """Binomial shift: H_k(x + y; sigma) = sum_l C(k,l) x^{k-l} H_l(y; sigma)."""
-    x = np.asarray(x, dtype=np.float64)
-    total = np.zeros(np.broadcast(x, np.asarray(y)).shape)
-    for l in range(k + 1):
-        total = total + math.comb(k, l) * x ** (k - l) * hermite(l, y, sigma)
-    return total
 
 
 class CellGrid:
@@ -210,19 +198,6 @@ def _ansatz_cell_kernel(
         -(gamma + 1j) * (t - grid.time_left[dyn]) * q[dyn]
     )
     return vals
-
-
-def linear_from_paths(
-    grid: CellGrid, dyn_path: NoisePath, data_path: NoisePath, gamma: float, t: float
-) -> FourierField:
-    """Order-1 evaluation of the linear ansatz from raw increments."""
-    lat = grid.lattice
-    f = _ansatz_cell_kernel(grid, gamma, t)
-    dB = grid.increments(dyn_path, data_path)
-    contrib = f * dB
-    coeffs = np.zeros(lat.n_modes, dtype=np.complex128)
-    np.add.at(coeffs, grid.mode, contrib)
-    return FourierField(lat, coeffs)
 
 
 def cubic_via_chaos(

@@ -4,12 +4,16 @@ Usage:
     torus-phi4 <command> --config <file> [--seed S] [--out DIR]
 
 Commands: invariance, inviscid, smoothing, verify.  The config file is a
-flat ``key = value`` text file (keys documented in
-:mod:`torus_phi4.experiments`); for ``verify`` the key ``suite`` selects one
-of {kernels, counting, tensors, chaos, strichartz, smoothing, picard, all}.
+flat ``key = value`` text file; each command's keys, their types and their
+defaults are the fields of its config dataclass in
+:mod:`torus_phi4.experiments` (`_InvarianceConfig`, `_InviscidConfig`,
+`_SmoothingConfig`, `_VerifyConfig`).  For ``verify`` the key ``suite``
+selects one of {kernels, counting, tensors, chaos, strichartz, smoothing,
+picard, all}.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
-(including unknown config keys) or a run stopped by a mass blow-up.
+(an unreadable config, an unknown key, an ill-typed or out-of-range value)
+or a run stopped by a mass blow-up, each on one line of standard error.
 """
 
 from __future__ import annotations
@@ -47,15 +51,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
-        cfg = load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report = _COMMANDS[args.command](cfg, seed=args.seed,
-                                         out_dir=args.out)
-    except (ValueError, MassBlowUpError) as exc:
+        report = _COMMANDS[args.command](load_config(args.config),
+                                         seed=args.seed, out_dir=args.out)
+    except (OSError, ValueError, MassBlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

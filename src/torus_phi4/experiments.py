@@ -6,8 +6,10 @@ The command-line front end in :mod:`torus_phi4.cli` wraps these functions.
 
 Config files are flat ``key = value`` text files; values are parsed as JSON
 fragments when possible (numbers, lists) and kept as strings otherwise.
-A key the command does not read raises ValueError, so a typo cannot fall
-back to a default unseen.
+Each command reads its keys into one frozen dataclass, the reference for
+their types and defaults (`_InvarianceConfig`, `_InviscidConfig`,
+`_SmoothingConfig`, `_VerifyConfig`); an unknown key or an ill-typed or
+out-of-range value raises ValueError, so a typo cannot run unseen.
 Every report embeds the package version, the master seed, and a hash of the
 resolved configuration, so outputs are traceable to their inputs.
 """
@@ -17,7 +19,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 import time
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +82,58 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _reject_unknown_keys(cfg: dict, accepted: tuple, command: str) -> None:
-    """Raise ValueError naming any config key the command does not read."""
-    unknown = sorted(set(cfg) - set(accepted))
+_KINDS = {  # field type -> (accepts a value other than a bool, what it takes)
+    int: (lambda v: isinstance(v, numbers.Integral), "an int"),
+    float: (lambda v: isinstance(v, numbers.Real) and math.isfinite(v),
+            "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _parse(cls, cfg: dict, command: str):
+    """cls(**cfg), once each key names a field and each value has its type
+    (an int for a float field is converted; a tuple field takes a non-empty
+    list); raises ValueError otherwise."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(cfg) - set(hints))
     if unknown:
         raise ValueError(f"unknown config key(s) for {command}: {unknown}; "
-                         f"accepted: {sorted(accepted)}")
+                         f"accepted: {sorted(hints)}")
+    values = {}
+    for key, value in cfg.items():
+        seq = typing.get_origin(hints[key]) is tuple
+        kind = typing.get_args(hints[key])[0] if seq else hints[key]
+        ok, what = _KINDS[kind]
+        items = value if seq else [value]
+        if not (isinstance(items, list) and items and all(
+                ok(v) and not isinstance(v, bool) for v in items)):
+            what = f"a non-empty list, each {what}" if seq else what
+            raise ValueError(f"config key {key!r} for {command} takes {what}, "
+                             f"got {value!r}")
+        values[key] = tuple(map(kind, items)) if seq else kind(value)
+    return cls(**values)
+
+
+_RANGES = {  # field -> (holds, what a command needs of it)
+    "ensemble": (lambda v: v >= 2, "ensemble must be >= 2 for its standard errors"),
+    "n_steps": (lambda v: v >= 1, "n_steps must be >= 1"),
+    "horizon": (lambda v: v > 0, "horizon must be > 0"),
+    "steps_per_unit_sq": (lambda v: v > 0, "steps_per_unit_sq must be > 0"),
+    "n_cuts": (lambda v: len(set(v)) >= 2, "n_cuts must hold 2 distinct cutoffs"),
+}
+
+
+class _Config:
+    """Base of the command configs: checks `_RANGES` on the fields it has.
+    Physics ranges are checked where they are used: the cutoff by
+    ModeLattice, the pCN step by the sampler, damping and drift by
+    DynamicsConfig."""
+
+    def __post_init__(self):
+        for name, (holds, what) in _RANGES.items():
+            value = getattr(self, name, None)
+            if value is not None and not holds(value):
+                raise ValueError(f"{what}, got {value!r}")
 
 
 def _stamp(report: dict, cfg: dict, seed: int) -> dict:
@@ -115,6 +167,18 @@ def _write_csv(rows: list[dict], out_dir: str | Path, name: str) -> Path:
 # invariance experiment
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _InvarianceConfig(_Config):
+    n_cut: int = 4
+    gamma: float = 0.5
+    ensemble: int = 512
+    horizon: float = 2.0
+    n_steps: int = 800
+    z_max: float = 3.0
+    beta: float = 0.1
+    chain_steps: int = 20_000
+
+
 def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     """Stationarity test: sample the Wick-pairing Gibbs measure, evolve each
     member under the Wick-renormalized stochastic flow with fresh noise, and
@@ -122,33 +186,24 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
 
     Observables: per-mode second moments E|u_hat(n)|^2, the mean Wick
     quartic potential, and the mean mass.  All |z| <= z_max is the pass
-    condition.
+    condition; a non-finite observable fails it.  Keys: `_InvarianceConfig`.
     """
-    _reject_unknown_keys(cfg, ("n_cut", "gamma", "ensemble", "horizon",
-                               "n_steps", "z_max", "beta", "chain_steps"),
-                         "invariance")
-    n_cut = int(cfg.get("n_cut", 4))
-    gamma = float(cfg.get("gamma", 0.5))
-    ensemble = int(cfg.get("ensemble", 512))
-    horizon = float(cfg.get("horizon", 2.0))
-    n_steps = int(cfg.get("n_steps", 800))
-    z_max = float(cfg.get("z_max", 3.0))
-    beta = float(cfg.get("beta", 0.1))
-    chain_steps = int(cfg.get("chain_steps", 20_000))
-    if ensemble < 2:
-        raise ValueError(f"invariance needs ensemble >= 2 for its standard errors, got {ensemble}")
+    conf = _parse(_InvarianceConfig, cfg, "invariance")
+    n_cut, ensemble, horizon, n_steps = (conf.n_cut, conf.ensemble,
+                                         conf.horizon, conf.n_steps)
     lattice = ModeLattice(n_cut)
     sigma = mode_variance_sum(n_cut)
+
+    # checked before the pCN sweep, so a bad damping costs no sampling
+    dyn = DynamicsConfig(gamma=conf.gamma, n_trunc=n_cut, renormalization="wick",
+                         nonlinearity_on=True, noise_on=True)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     # one independent chain per ensemble member: the paired z-test below
     # assumes independent members, which thinned single-chain states do
     # not deliver in this slowly mixing regime
-    pcn = sample_gibbs_pcn_chains(lattice, "wick", ensemble, rng, beta=beta,
-                                  n_steps=chain_steps)
-
-    dyn = DynamicsConfig(gamma=gamma, n_trunc=n_cut, renormalization="wick",
-                         nonlinearity_on=True, noise_on=True)
+    pcn = sample_gibbs_pcn_chains(lattice, "wick", ensemble, rng, beta=conf.beta,
+                                  n_steps=conf.chain_steps)
     checkpoints = (0, n_steps // 2, n_steps)
     obs = np.empty((len(checkpoints), ensemble, lattice.n_modes + 2))
 
@@ -175,7 +230,10 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
         mean = diff.mean(axis=0)
         se = diff.std(axis=0, ddof=1) / np.sqrt(ensemble)
         z = np.where(se > 0, mean / np.maximum(se, 1e-300), 0.0)
-        worst = max(worst, float(np.abs(z).max()))
+        # a non-finite observable has a NaN standard error: its z is NaN,
+        # which the gate below fails, not 0
+        z[~np.isfinite(se)] = np.nan
+        worst = float(np.max([worst, np.abs(z).max()]))
         t_val = k * horizon / n_steps
         for lbl, zz, mm, ss in zip(labels, z, mean, se):
             zrows.append({"time": t_val, "observable": lbl,
@@ -183,11 +241,11 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
                           "stderr": float(ss)})
     report = _stamp({
         "experiment": "invariance",
-        "n_cut": n_cut, "gamma": gamma, "ensemble": ensemble,
-        "horizon": horizon, "n_steps": n_steps, "chain_steps": chain_steps,
-        "beta": beta, "acceptance_rate": pcn.acceptance_rate, "sigma": sigma,
-        "worst_abs_z": worst, "z_max": z_max,
-        "passed": bool(worst <= z_max),
+        "n_cut": n_cut, "gamma": conf.gamma, "ensemble": ensemble,
+        "horizon": horizon, "n_steps": n_steps, "chain_steps": conf.chain_steps,
+        "beta": conf.beta, "acceptance_rate": pcn.acceptance_rate, "sigma": sigma,
+        "worst_abs_z": worst, "z_max": conf.z_max,
+        "passed": bool(worst <= conf.z_max),
     }, cfg, seed)
     if out_dir is not None:
         _write_csv(zrows, out_dir, "invariance_zscores")
@@ -199,6 +257,24 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
 # inviscid-limit experiment
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _InviscidConfig(_Config):
+    n_cut: int = 8
+    horizon: float = 1.0
+    n_steps: int = 2000
+    ensemble: int = 32
+    gammas: tuple[float, ...] = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
+    slack: float = 0.10
+    final_frac: float = 0.3
+    s_metric: float = -0.25
+    amplitude: float = 1.0
+    # the mass-subtracted drift pumps energy when gamma > 0 and the mass is
+    # large, which can blow up the explicit substep at full amplitude; the
+    # constant-subtraction (wick) drift is dissipative and agrees with it at
+    # gamma = 0 up to a global phase, so the sweep uses the wick form
+    renormalization: str = "wick"
+
+
 def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     """Coupled-seed dissipation sweep.
 
@@ -208,24 +284,16 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     D(gamma) = E sup_{t<=T} ||u_gamma(t) - u_0(t)||_{H^{-1/4}} is recorded.
     Pass: D nonincreasing along the grid within the stated slack, and the
     smallest-gamma distance below ``final_frac`` of the largest-gamma one.
+    Keys: `_InviscidConfig`.
     """
-    _reject_unknown_keys(cfg, ("n_cut", "horizon", "n_steps", "ensemble",
-                               "gammas", "slack", "final_frac", "s_metric",
-                               "amplitude", "renormalization"), "inviscid")
-    n_cut = int(cfg.get("n_cut", 8))
-    horizon = float(cfg.get("horizon", 1.0))
-    n_steps = int(cfg.get("n_steps", 2000))
-    ensemble = int(cfg.get("ensemble", 32))
-    gammas = cfg.get("gammas", [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
-    slack = float(cfg.get("slack", 0.10))
-    final_frac = float(cfg.get("final_frac", 0.3))
-    s_metric = float(cfg.get("s_metric", -0.25))
-    amplitude = float(cfg.get("amplitude", 1.0))
-    # the mass-subtracted drift pumps energy when gamma > 0 and the mass is
-    # large, which can blow up the explicit substep at full amplitude; the
-    # constant-subtraction (wick) drift is dissipative and agrees with it at
-    # gamma = 0 up to a global phase, so the sweep uses the wick form
-    renorm = str(cfg.get("renormalization", "wick"))
+    conf = _parse(_InviscidConfig, cfg, "inviscid")
+    n_cut, horizon, n_steps, ensemble = (conf.n_cut, conf.horizon,
+                                         conf.n_steps, conf.ensemble)
+    gammas, s_metric, amplitude = conf.gammas, conf.s_metric, conf.amplitude
+    # rows (gamma, member) of one lockstep stack: row 0 is the undamped
+    # reference, and each member's data and path are shared by its rows
+    dyn = DynamicsConfig(gamma=np.array((0.0,) + gammas)[:, None], n_trunc=n_cut,
+                         renormalization=conf.renormalization)
 
     lattice = ModeLattice(n_cut)
     wt = lattice.brackets.astype(float) ** (2.0 * s_metric)
@@ -235,10 +303,6 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     for m in range(ensemble):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 8, m]))
         phi[m] = amplitude * sample_gff(lattice, rng).coeffs
-    # rows (gamma, member) of one lockstep stack: row 0 is the undamped
-    # reference, and each member's data and path are shared by its rows
-    rows = np.array([0.0] + [float(g) for g in gammas])[:, None]
-    dyn = DynamicsConfig(gamma=rows, n_trunc=n_cut, renormalization=renorm)
     steps = lockstep(FourierField(lattice, phi),
                      lockstep_increments(lattice, horizon, n_steps, seeds),
                      horizon / n_steps, dyn)
@@ -249,17 +313,17 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     dists = np.sqrt(sup2)
     mean_d = dists.mean(axis=0)
     se_d = dists.std(axis=0, ddof=1) / np.sqrt(ensemble)
-    monotone = bool(np.all(mean_d[1:] <= mean_d[:-1] * (1.0 + slack)))
-    contract = bool(mean_d[-1] <= final_frac * mean_d[0])
-    floor = [linear_distance(lattice, float(g), horizon, s_metric, amplitude)
+    monotone = bool(np.all(mean_d[1:] <= mean_d[:-1] * (1.0 + conf.slack)))
+    contract = bool(mean_d[-1] <= conf.final_frac * mean_d[0])
+    floor = [linear_distance(lattice, g, horizon, s_metric, amplitude)
              for g in gammas]
     csv_rows = [{"gamma": g, "mean_distance": float(d), "stderr": float(s)}
                 for g, d, s in zip(gammas, mean_d, se_d)]
     report = _stamp({
         "experiment": "inviscid",
         "n_cut": n_cut, "horizon": horizon, "n_steps": n_steps,
-        "ensemble": ensemble, "gammas": list(map(float, gammas)),
-        "renormalization": renorm, "s_metric": s_metric,
+        "ensemble": ensemble, "gammas": list(gammas),
+        "renormalization": conf.renormalization, "s_metric": s_metric,
         "amplitude": amplitude,
         "mean_distances": mean_d.tolist(),
         "stderr": se_d.tolist(),
@@ -284,39 +348,41 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
 # smoothing experiment
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _SmoothingConfig(_Config):
+    n_cuts: tuple[int, ...] = (8, 16, 32, 64)
+    s: float = 0.4
+    gamma: float = 0.0
+    ensemble: int = 64
+    horizon: float = 0.25
+    thirty_slope_max: float = 0.1
+    # one step per unit squared-frequency resolves the retained phases;
+    # the induced quadrature bias on the integrated object is ~1%, far
+    # below the slope gates, at a quarter of the cost of the finest grid
+    steps_per_unit_sq: float = 1.0
+
+
 def cmd_smoothing(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     """Regularity scan for the linear object, the time-integrated cubic
     object, and the nonlinear remainder, across dyadic lattice sizes.
 
     Reports fitted slopes of log E||.||_{H^s}^2 against log N.  The pass
     conditions follow the stated thresholds: linear slope 0.8 +/- 0.2 and
-    integrated-cubic slope <= ``thirty_slope_max``.
+    integrated-cubic slope <= ``thirty_slope_max``.  Keys: `_SmoothingConfig`.
     """
-    _reject_unknown_keys(cfg, ("n_cuts", "s", "gamma", "ensemble", "horizon",
-                               "thirty_slope_max", "steps_per_unit_sq"),
-                         "smoothing")
-    n_cuts = tuple(cfg.get("n_cuts", [8, 16, 32, 64]))
-    s = float(cfg.get("s", 0.4))
-    gamma = float(cfg.get("gamma", 0.0))
-    ensemble = int(cfg.get("ensemble", 64))
-    horizon = float(cfg.get("horizon", 0.25))
-    thirty_slope_max = float(cfg.get("thirty_slope_max", 0.1))
-    # one step per unit squared-frequency resolves the retained phases;
-    # the induced quadrature bias on the integrated object is ~1%, far
-    # below the slope gates, at a quarter of the cost of the finest grid
-    steps_per_unit_sq = float(cfg.get("steps_per_unit_sq", 1.0))
-
-    scan = regularity_scan(n_cuts=n_cuts, s=s, gamma=gamma,
-                           ensemble=ensemble, horizon=horizon, seed=seed,
-                           steps_per_unit_sq=steps_per_unit_sq)
+    conf = _parse(_SmoothingConfig, cfg, "smoothing")
+    scan = regularity_scan(n_cuts=conf.n_cuts, s=conf.s, gamma=conf.gamma,
+                           ensemble=conf.ensemble, horizon=conf.horizon, seed=seed,
+                           steps_per_unit_sq=conf.steps_per_unit_sq)
     lin_slope = scan["linear"]["slope"]
     thirty_slope = scan["integrated_cubic"]["slope"]
     three_slope = scan["cubic"]["slope"]
     lin_ok = bool(abs(lin_slope - 0.8) <= 0.2)
-    thirty_ok = bool(thirty_slope <= thirty_slope_max)
+    thirty_ok = bool(thirty_slope <= conf.thirty_slope_max)
     report = _stamp({
         "experiment": "smoothing",
-        "n_cuts": list(n_cuts), "s": s, "gamma": gamma, "ensemble": ensemble,
+        "n_cuts": list(conf.n_cuts), "s": conf.s, "gamma": conf.gamma,
+        "ensemble": conf.ensemble,
         "linear_slope": lin_slope,
         "cubic_slope": three_slope,
         "integrated_cubic_slope": thirty_slope,
@@ -375,8 +441,7 @@ def _suite_counting(seed: int) -> dict:
 
 
 def _suite_tensors(seed: int) -> dict:
-    report = verify_tensor_bounds()
-    return report
+    return verify_tensor_bounds()
 
 
 def _suite_chaos(seed: int) -> dict:
@@ -455,11 +520,15 @@ _SUITES = {
 }
 
 
+@dataclass(frozen=True)
+class _VerifyConfig(_Config):
+    suite: str = "all"
+
+
 def cmd_verify(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     """Run one named verification suite (or all of them) and report
-    pass/fail with measured values."""
-    _reject_unknown_keys(cfg, ("suite",), "verify")
-    name = cfg.get("suite", "all")
+    pass/fail with measured values.  Keys: `_VerifyConfig`."""
+    name = _parse(_VerifyConfig, cfg, "verify").suite
     names = list(_SUITES) if name == "all" else [name]
     unknown = [n for n in names if n not in _SUITES]
     if unknown:

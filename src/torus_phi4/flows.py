@@ -1,4 +1,4 @@
-"""Linear propagators, stochastic flows, gauge transforms, and the
+"""Linear evolution, stochastic flows, gauge transforms, and the
 remainder integral equation.
 
 Conventions.  The linear semigroup acts mode-wise as
@@ -25,10 +25,8 @@ one-row case.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,7 +37,6 @@ from .nonlinearity import mass, nonpairing_batch, renormalized_cubic, wick_cubic
 from .spectral import FourierField, ModeLattice
 
 __all__ = [
-    "propagator",
     "stochastic_convolution",
     "linear_evolution",
     "DynamicsConfig",
@@ -57,7 +54,6 @@ __all__ = [
 ]
 
 MASS_BLOWUP_LIMIT = 1e8
-TRAJECTORY_FORMAT = "torus-phi4/trajectory-v1"  # the "format" key of a saved manifest
 
 
 class MassBlowUpError(RuntimeError):
@@ -76,15 +72,6 @@ class MassBlowUpError(RuntimeError):
         self.step = step
         self.mass = mass
         self.member = member
-
-
-def propagator(u: FourierField, gamma: float, t: float, t_prime: float | None = None) -> FourierField:
-    """Apply the mode multiplier exp(-(gamma*|t| + i*t') <n>^2)."""
-    if t_prime is None:
-        t_prime = t
-    q = u.lattice.brackets**2
-    mult = np.exp(-(gamma * abs(t) + 1j * t_prime) * q)
-    return FourierField(u.lattice, u.coeffs * mult)
 
 
 def _ou_factors(
@@ -107,9 +94,7 @@ def stochastic_convolution(
     path: NoisePath, gamma: float, n_trunc: float | None = None
 ) -> "Trajectory":
     """Exact sampling of the stochastic convolution along the path grid."""
-    traj = linear_evolution(FourierField(path.lattice), path, gamma, n_trunc)
-    traj.meta["kind"] = "stochastic_convolution"
-    return traj
+    return linear_evolution(FourierField(path.lattice), path, gamma, n_trunc)
 
 
 def linear_evolution(
@@ -124,7 +109,7 @@ def linear_evolution(
         out[0] = np.where(lat.brackets <= n_trunc + 1e-12, out[0], 0.0)
     for k in range(path.n_steps):
         out[k + 1] = decay * out[k] + scale * path.increments[k]
-    return Trajectory(lat, path.times, out, gamma, {"kind": "linear_evolution"})
+    return Trajectory(lat, path.times, out, gamma)
 
 
 @dataclass
@@ -132,7 +117,8 @@ class DynamicsConfig:
     """Settings of the renormalized flow.
 
     `gamma` is a float, or for `lockstep` an array of per-row dampings
-    broadcastable to the stack's leading shape.
+    broadcastable to the stack's leading shape; each must be finite and
+    >= 0, and `renormalization` 'wick' or 'dynamic' (ValueError otherwise).
     """
 
     gamma: float | np.ndarray
@@ -141,6 +127,15 @@ class DynamicsConfig:
     sigma: float | None = None
     nonlinearity_on: bool = True
     noise_on: bool = True
+
+    def __post_init__(self):
+        if self.renormalization not in ("wick", "dynamic"):
+            raise ValueError("renormalization must be 'wick' or 'dynamic', "
+                             f"got {self.renormalization!r}")
+        gamma = np.asarray(self.gamma, dtype=np.float64)
+        bad = ~(np.isfinite(gamma) & (gamma >= 0.0))
+        if bad.any():
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma[bad].tolist()}")
 
     def resolved_sigma(self) -> float:
         if self.sigma is not None:
@@ -154,7 +149,6 @@ class Trajectory:
     times: np.ndarray
     coeffs: np.ndarray  # shape (n_snapshots, n_modes)
     gamma: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_snapshots(self) -> int:
@@ -166,35 +160,6 @@ class Trajectory:
 
     def snapshot(self, k: int) -> FourierField:
         return FourierField(self.lattice, self.coeffs[k].copy())
-
-    def save(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
-        np.save(os.path.join(directory, "coeffs.npy"), self.coeffs)
-        manifest = {
-            "format": TRAJECTORY_FORMAT,
-            "n_cut": self.lattice.n_cut,
-            "times": self.times.tolist(),
-            "gamma": self.gamma,
-            "meta": self.meta,
-        }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh)
-
-    @classmethod
-    def load(cls, directory: str) -> "Trajectory":
-        with open(os.path.join(directory, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != TRAJECTORY_FORMAT:
-            raise ValueError(f"unrecognized trajectory format in {directory}")
-        lattice = ModeLattice(manifest["n_cut"])
-        times = np.asarray(manifest["times"])
-        coeffs = np.load(os.path.join(directory, "coeffs.npy"))
-        if coeffs.shape != (times.size, lattice.n_modes):
-            raise ValueError(
-                f"trajectory coefficients have shape {coeffs.shape}, expected "
-                f"{(times.size, lattice.n_modes)} for its times and cutoff"
-            )
-        return cls(lattice, times, coeffs, manifest["gamma"], manifest.get("meta", {}))
 
 
 def _nonlinear_substep(
@@ -280,7 +245,7 @@ def evolve(phi: FourierField, path: NoisePath, cfg: DynamicsConfig) -> Trajector
     One step of size h: exact linear half step, nonlinear substep of
     size h (then sharp truncation), exact linear half step, then the
     Ornstein-Uhlenbeck noise increment.  With the nonlinearity switched
-    off this reproduces propagator + stochastic_convolution exactly.
+    off this reproduces linear_evolution to rounding.
     The one-row case of `lockstep`.
     """
     lat = path.lattice
@@ -288,13 +253,7 @@ def evolve(phi: FourierField, path: NoisePath, cfg: DynamicsConfig) -> Trajector
     stack = FourierField(lat, phi.coeffs[None])
     for k, c in enumerate(lockstep(stack, path.increments, path.h, cfg)):
         out[k] = c[0]
-    return Trajectory(
-        lat,
-        path.times,
-        out,
-        cfg.gamma,
-        {"kind": "evolve", "renormalization": cfg.renormalization, "n_trunc": cfg.n_trunc},
-    )
+    return Trajectory(lat, path.times, out, cfg.gamma)
 
 
 def linear_distance(
@@ -319,13 +278,8 @@ def extract_remainder(
 ) -> Trajectory:
     """Subtract the linear ansatz (propagated data + convolution) from a run."""
     lin = linear_evolution(phi, path, traj.gamma, n_trunc)
-    return Trajectory(
-        traj.lattice,
-        traj.times,
-        traj.coeffs - lin.coeffs,
-        traj.gamma,
-        {"kind": "remainder"},
-    )
+    return Trajectory(traj.lattice, traj.times, traj.coeffs - lin.coeffs,
+                      traj.gamma)
 
 
 def gauge_phase(traj: Trajectory, n_trunc: float, sigma: float | None = None) -> np.ndarray:
@@ -355,13 +309,7 @@ def apply_gauge(
     """
     v = gauge_phase(traj, n_trunc, sigma)
     factor = np.exp(1j * weight * v)[:, None]
-    return Trajectory(
-        traj.lattice,
-        traj.times,
-        traj.coeffs * factor,
-        traj.gamma,
-        {"kind": "gauged", "weight": weight},
-    )
+    return Trajectory(traj.lattice, traj.times, traj.coeffs * factor, traj.gamma)
 
 
 def _duhamel_weights(lattice: ModeLattice, gamma: float, h: float):
@@ -403,7 +351,7 @@ def duhamel(forcing: Trajectory, gamma: float | None = None) -> Trajectory:
     out = np.zeros_like(forcing.coeffs)
     for k in range(forcing.n_snapshots - 1):
         out[k + 1] = decay * out[k] + w_left * forcing.coeffs[k] + w_right * forcing.coeffs[k + 1]
-    return Trajectory(lat, forcing.times, out, gamma, {"kind": "duhamel"})
+    return Trajectory(lat, forcing.times, out, gamma)
 
 
 @dataclass
@@ -468,5 +416,5 @@ def picard_remainder(
         if diff < tol:
             converged = True
             break
-    traj = Trajectory(lat, ansatz.times, v, gamma, {"kind": "picard_remainder"})
+    traj = Trajectory(lat, ansatz.times, v, gamma)
     return PicardResult(traj, residuals, ratios, converged)

@@ -57,10 +57,8 @@ def build_bundle(
         n_trunc = path.lattice.n_cut
     lin = linear_evolution(phi, path, gamma, n_trunc)
     cub_coeffs = nonpairing_batch(path.lattice, lin.coeffs, lin.coeffs, lin.coeffs)
-    cub = Trajectory(path.lattice, path.times, cub_coeffs, gamma, {"kind": "cubic"})
-    icub = duhamel(cub, gamma)
-    icub.meta["kind"] = "integrated_cubic"
-    return ObjectBundle(gamma, n_trunc, lin, cub, icub)
+    cub = Trajectory(path.lattice, path.times, cub_coeffs, gamma)
+    return ObjectBundle(gamma, n_trunc, lin, cub, duhamel(cub, gamma))
 
 
 def _member_norms(

@@ -60,7 +60,7 @@ class ModeLattice:
 
     Modes are stored in lexicographic order of (n_x, n_y), which fixes a
     deterministic coefficient layout used by every consumer (samplers,
-    integrators, serialization).
+    integrators, reports).
     """
 
     def __init__(self, n_cut: float):

@@ -9,10 +9,8 @@ Tools for measuring dispersive regularity of trajectories on the torus:
   surrogate for dispersive restriction norms), with spatial weight
   ``<n>^(2s)`` and temporal weight ``<lambda>^(2b)``;
 * the oscillatory Duhamel symbol ``K_gamma(n, lambda, mu)`` together with
-  sweep harnesses for its decay and Lipschitz-in-gamma bounds;
-* an empirical L^4 space-time estimate for frequency-localized fields; and
-* probe-based operator-norm estimates for the linear and bilinear random
-  operators built from a frozen stochastic trajectory.
+  sweep harnesses for its decay and Lipschitz-in-gamma bounds; and
+* an empirical L^4 space-time estimate for frequency-localized fields.
 
 Conventions.  For a trajectory sampled at uniform times ``t_k`` on ``[0, T]``
 the twisted spectrum is
@@ -39,8 +37,7 @@ import numpy as np
 from scipy.fft import fft, fftfreq, next_fast_len
 
 from .spectral import ModeLattice
-from .nonlinearity import nonpairing_batch
-from .flows import Trajectory, duhamel
+from .flows import Trajectory
 
 __all__ = [
     "smooth_bump",
@@ -53,8 +50,6 @@ __all__ = [
     "symbol_decay_sweep",
     "symbol_lipschitz_sweep",
     "l4_ratio_scan",
-    "RandomOperator",
-    "operator_norm_estimate",
 ]
 
 
@@ -324,8 +319,7 @@ def _synthesize_trajectory(lattice: ModeLattice, mode_mask: np.ndarray,
     osc = np.exp(1j * times[:, None, None] * lam[None, :, :])  # (t, m, f)
     coeffs[:, idx] = (osc * c[None, :, :]).sum(axis=2)
     coeffs *= np.exp(-1j * np.outer(times, q))
-    return Trajectory(lattice=lattice, times=times, coeffs=coeffs,
-                      gamma=0.0, meta={"synthetic": True})
+    return Trajectory(lattice=lattice, times=times, coeffs=coeffs, gamma=0.0)
 
 
 def _l4_spacetime(traj: Trajectory, chi: np.ndarray) -> float:
@@ -370,72 +364,3 @@ def l4_ratio_scan(ball_sizes=(1, 2, 4, 8, 16), ensemble: int = 8,
     y = np.log(np.asarray(results["ratio"], dtype=float))
     results["growth_exponent"] = float(np.polyfit(x, y, 1)[0])
     return results
-
-
-# ---------------------------------------------------------------------------
-# random operators from a frozen trajectory
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RandomOperator:
-    """Linear or bilinear map built by inserting a frozen trajectory into
-    the pairing-free trilinear form and applying the Duhamel map.
-
-    kind: 'linear_13' .... v  -> I[T(v, z, z)]   (v in a plain slot)
-          'linear_2'  .... v  -> I[T(z, v, z)]   (v in the conjugate slot)
-          'bilinear_13' .. v,w -> I[T(v, z, w)]  (frozen z in conjugate slot)
-          'bilinear_12' .. v,w -> I[T(v, w, z)]  (frozen z in a plain slot)
-    """
-
-    frozen: Trajectory
-    kind: str
-    gamma: float = 0.0
-
-    def apply(self, v: np.ndarray, w: np.ndarray | None = None) -> Trajectory:
-        lat = self.frozen.lattice
-        z = self.frozen.coeffs
-        if self.kind == "linear_13":
-            forcing = nonpairing_batch(lat, v, z, z)
-        elif self.kind == "linear_2":
-            forcing = nonpairing_batch(lat, z, v, z)
-        elif self.kind == "bilinear_13":
-            forcing = nonpairing_batch(lat, v, z, w)
-        elif self.kind == "bilinear_12":
-            forcing = nonpairing_batch(lat, v, w, z)
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        ftraj = Trajectory(lattice=lat, times=self.frozen.times,
-                           coeffs=forcing, gamma=self.gamma, meta={})
-        return duhamel(ftraj, self.gamma)
-
-
-def operator_norm_estimate(op: RandomOperator, s: float, b_in: float,
-                           b_out: float, probes: int = 16,
-                           seed: int = 0) -> float:
-    """Probe-sup estimate of the operator norm from random normalized
-    band-limited inputs measured in the twisted-spectrum norms.
-
-    This is a lower bound on the windowed operator norm; comparisons across
-    lattice sizes use the same probe ensemble so trends are meaningful.
-    """
-    lat = op.frozen.lattice
-    times = op.frozen.times
-    horizon = float(times[-1] - times[0])
-    n_steps = len(times) - 1
-    mask = np.ones(lat.n_modes, dtype=bool)
-    best = 0.0
-    bilinear = op.kind.startswith("bilinear")
-    for p in range(probes):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, p]))
-        v = _synthesize_trajectory(lat, mask, rng, horizon, n_steps)
-        den = xsb_norm(twisted_transform(v), s, b_in)
-        if bilinear:
-            w = _synthesize_trajectory(lat, mask, rng, horizon, n_steps)
-            den *= xsb_norm(twisted_transform(w), s, b_in)
-            out = op.apply(v.coeffs, w.coeffs)
-        else:
-            out = op.apply(v.coeffs)
-        num = xsb_norm(twisted_transform(out), s, b_out)
-        if den > 0:
-            best = max(best, num / den)
-    return best

@@ -10,10 +10,8 @@ from torus_phi4 import (
     NoisePath,
     cubic_via_chaos,
     hermite,
-    hermite_shift,
     hypercontractivity_ratio,
     kernel_inner,
-    linear_from_paths,
     multi_integral,
     outer,
     symmetrize,
@@ -43,20 +41,6 @@ def test_hermite_gaussian_orthogonality():
             m = np.mean(hermite(j, g, sigma) * hermite(k, g, sigma))
             expect = factorial(k) * sigma**k if j == k else 0.0
             assert abs(m - expect) < 0.15 * max(1.0, sigma**k * 6)
-
-
-def test_hermite_shift_binomial():
-    rng = np.random.default_rng(4)
-    x, y = rng.standard_normal(20), rng.standard_normal(20)
-    sigma = 0.9
-    for k in range(4):
-        direct = hermite(k, x + y, sigma)
-        from math import comb
-
-        expanded = sum(
-            comb(k, j) * y ** (k - j) * hermite(j, x, sigma) for j in range(k + 1)
-        )
-        np.testing.assert_allclose(direct, expanded, atol=1e-11)
 
 
 def _tiny_grid(n_cut=2, n_dyn=3):
@@ -204,25 +188,6 @@ def test_cubic_via_chaos_matches_dense_third_order_integral():
         kern = ChaosKernel(grid, table, (1, -1, 1))
         lhs[n_idx] = multi_integral(kern, dB)
     np.testing.assert_allclose(lhs, fast.coeffs, atol=1e-10)
-
-
-def test_linear_from_paths_variance():
-    # stationary law: E|u_hat(n)|^2 = <n>^{-2} at every time
-    lat = ModeLattice(2)
-    grid = CellGrid(lat, n_dyn=64, horizon=1.0)
-    gamma, t = 0.5, 0.75
-    n_mc = 3000
-    acc = np.zeros(lat.n_modes)
-    for m in range(n_mc):
-        dyn = NoisePath.generate(lat, 1.0, 64, seed=100_000 + m)
-        dat = NoisePath.generate(lat, 1.0, 1, seed=200_000 + m)
-        acc += np.abs(linear_from_paths(grid, dyn, dat, gamma, t).coeffs) ** 2
-    acc /= n_mc
-    target = lat.brackets**-2.0
-    # Riemann (left-endpoint) kernel bias is O(gamma q h); allow for it
-    bias = gamma * lat.brackets**2 / 64.0
-    z = (acc - target) / (target / np.sqrt(n_mc) + bias * target)
-    assert np.max(np.abs(z)) < 4.5
 
 
 def test_hypercontractivity_ratio_gaussian():

@@ -1,14 +1,18 @@
 """Config parsing, report/CSV output, and command-line exit codes."""
 
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torus_phi4 import (DynamicsConfig, FourierField, ModeLattice, NoisePath,
-                        evolve, linear_distance, mass, mode_variance_sum,
-                        sample_gff, sample_gibbs_pcn_chains, wick_potential)
+                        evolve, linear_distance, lockstep, mass,
+                        mode_variance_sum, sample_gff, sample_gibbs_pcn_chains,
+                        wick_potential)
+from torus_phi4 import experiments
 from torus_phi4.cli import main
 from torus_phi4.experiments import (config_hash, load_config, write_report,
                                     cmd_invariance, cmd_inviscid,
@@ -117,6 +121,20 @@ def test_unknown_config_key_is_rejected(command, cfg):
         command(cfg)
 
 
+def test_benchmark_configs_parse_as_they_are(monkeypatch):
+    # the benchmark runs these dicts unchanged: each must keep parsing, with
+    # every value kept (an int for a float field only changes its type)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for cls, cfg in ((experiments._InvarianceConfig, workloads.EQUILIBRIUM),
+                     (experiments._InviscidConfig, workloads.INVISCID),
+                     (experiments._SmoothingConfig, workloads.SMOOTHING)):
+        conf = experiments._parse(cls, dict(cfg), "benchmark")
+        for key, value in cfg.items():
+            got = getattr(conf, key)
+            assert (list(got) if isinstance(got, tuple) else got) == value, key
+
+
 def test_cli_exit_two_on_unknown_config_key(tmp_path, capsys):
     cfg_file = tmp_path / "inv.cfg"
     cfg_file.write_text("ensembel = 2\nn_steps = 10\nhorizon = 0.01\n"
@@ -141,20 +159,65 @@ def test_cli_exit_two_on_mass_blowup(tmp_path, capsys):
     assert not (tmp_path / "out" / "invariance.json").exists()
 
 
-@pytest.mark.parametrize("bad", ["ensemble = 1", "ensemble = 0", "beta = 1.5",
-                                 "beta = 0", "chain_steps = 0", "chain_steps = -5"])
-def test_cli_exit_two_on_bad_invariance_config(tmp_path, capsys, bad):
-    # one member has no standard error, and beta outside (0, 1] or an empty
-    # chain is no pCN sampler: each stops before any report is written
-    cfg_file = tmp_path / "inv.cfg"
-    cfg_file.write_text("ensemble = 4\nn_cut = 2\nchain_steps = 10\n"
-                        "n_steps = 10\nhorizon = 0.01\n" + bad + "\n")
-    assert main(["invariance", "--config", str(cfg_file),
+_BAD_BASE = {  # small valid configs that each bad line below overrides
+    "invariance": "ensemble = 4\nn_cut = 2\nchain_steps = 10\nn_steps = 10\n"
+                  "horizon = 0.01\n",
+    "inviscid": "ensemble = 2\nn_cut = 2\nn_steps = 10\nhorizon = 0.01\n"
+                "gammas = [0.5]\n",
+    "smoothing": "ensemble = 2\nn_cuts = [2, 4]\nhorizon = 0.01\n",
+}
+
+
+def _bad(command, line):
+    return pytest.param(command, line, id=line if command == "invariance"
+                        else f"{command}: {line}")
+
+
+@pytest.mark.parametrize("command, bad", [
+    _bad("invariance", line) for line in (
+        "ensemble = 1", "ensemble = 0", "beta = 1.5", "beta = 0",
+        "chain_steps = 0", "chain_steps = -5", "n_cut = 3.7", "n_steps = 20.9",
+        "n_steps = 0", "gamma = -0.5", "horizon = 0", "z_max = NaN")
+] + [
+    _bad("inviscid", line) for line in (
+        "ensemble = true", "gammas = 0.5", "gammas = []", "amplitude = [1]",
+        "n_steps = 0", "renormalization = foo", "gammas = [0.5, -0.1]")
+] + [
+    _bad("smoothing", line) for line in (
+        "n_cuts = [8]", "n_cuts = [4, 4]", "steps_per_unit_sq = 0",
+        "n_cuts = [8.0, 16.0]")
+])
+def test_cli_exit_two_on_bad_invariance_config(tmp_path, capsys, command, bad):
+    # named for its first rows, it covers every command's config: an
+    # ill-typed or out-of-range value, a damping or drift no flow has, or
+    # beta outside (0, 1] or an empty chain (no pCN sampler) each stops
+    # before any report is written, on one line of standard error
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(_BAD_BASE[command] + bad + "\n")
+    assert main([command, "--config", str(cfg_file),
                  "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_invariance_gate_fails_on_a_non_finite_observable(monkeypatch):
+    # a NaN member makes every standard error NaN; the gate once read
+    # those as z = 0 and passed
+    def poisoned(*args):
+        for k, c in enumerate(lockstep(*args)):
+            if k:
+                c = c.copy()
+                c[0] = np.nan
+            yield c
+
+    cfg = {"n_cut": 2, "ensemble": 4, "chain_steps": 20, "n_steps": 20,
+           "horizon": 0.1}
+    assert cmd_invariance(dict(cfg))["passed"] is True
+    monkeypatch.setattr(experiments, "lockstep", poisoned)
+    rep = cmd_invariance(dict(cfg))
+    assert rep["passed"] is False and np.isnan(rep["worst_abs_z"])
 
 
 # -- lockstep commands against their per-member oracles ----------------------

@@ -1,6 +1,4 @@
-"""Propagators, stochastic flows, gauge transform, Duhamel, Picard."""
-
-import json
+"""Linear evolution, stochastic flows, gauge transform, Duhamel, Picard."""
 
 import numpy as np
 import pytest
@@ -24,38 +22,15 @@ from torus_phi4 import (
     mass,
     mode_variance_sum,
     picard_remainder,
-    propagator,
     sample_gff,
     sobolev_norm,
     stochastic_convolution,
 )
-from torus_phi4.flows import MASS_BLOWUP_LIMIT, TRAJECTORY_FORMAT
+from torus_phi4.flows import MASS_BLOWUP_LIMIT
 
 
 def _gff(n_cut, seed):
     return sample_gff(ModeLattice(n_cut), np.random.default_rng(seed))
-
-
-def test_propagator_closed_form_and_semigroup():
-    u = _gff(3, 0)
-    q = u.lattice.brackets**2
-    gamma, t = 0.4, 0.7
-    out = propagator(u, gamma, t)
-    np.testing.assert_allclose(
-        out.coeffs, u.coeffs * np.exp(-(gamma * t + 1j * t) * q), atol=1e-14
-    )
-    # dissipation uses |t|, oscillation keeps the sign
-    back = propagator(u, gamma, -t)
-    np.testing.assert_allclose(
-        back.coeffs, u.coeffs * np.exp(-(gamma * t - 1j * t) * q), atol=1e-14
-    )
-    two = propagator(propagator(u, gamma, 0.3), gamma, 0.4)
-    np.testing.assert_allclose(two.coeffs, out.coeffs, atol=1e-14)
-    # independent dissipative/oscillatory times
-    mixed = propagator(u, gamma, t, t_prime=0.0)
-    np.testing.assert_allclose(
-        mixed.coeffs, u.coeffs * np.exp(-gamma * t * q), atol=1e-14
-    )
 
 
 def test_stochastic_convolution_variance():
@@ -78,8 +53,8 @@ def test_linear_evolution_gamma_zero_is_free_propagation():
     path = NoisePath.generate(lat, 1.0, 50, seed=5)
     traj = linear_evolution(phi, path, gamma=0.0)
     for k in (10, 50):
-        exact = propagator(phi, 0.0, path.times[k])
-        np.testing.assert_allclose(traj.coeffs[k], exact.coeffs, atol=1e-12)
+        exact = phi.coeffs * np.exp(-1j * path.times[k] * lat.brackets**2)
+        np.testing.assert_allclose(traj.coeffs[k], exact, atol=1e-12)
 
 
 def test_evolve_without_nonlinearity_matches_linear():
@@ -208,53 +183,13 @@ def test_picard_converges_to_extracted_remainder():
     assert diff.max() < 5e-3
 
 
-def test_trajectory_save_load_roundtrip(tmp_path):
-    lat = ModeLattice(2)
-    phi = _gff(2, 14)
-    phi = FourierField(lat, 0.1 * phi.coeffs)
-    path = NoisePath.generate(lat, 0.25, 16, seed=3)
-    traj = evolve(phi, path, DynamicsConfig(gamma=0.4, n_trunc=2))
-    traj.save(str(tmp_path / "traj"))
-    back = Trajectory.load(str(tmp_path / "traj"))
-    np.testing.assert_allclose(back.coeffs, traj.coeffs, atol=0)
-    np.testing.assert_allclose(back.times, traj.times, atol=0)
-    assert back.gamma == traj.gamma
-    assert back.lattice.n_modes == lat.n_modes
-
-
-def _saved_trajectory(tmp_path):
-    lat = ModeLattice(2)
-    path = NoisePath.generate(lat, 0.25, 4, seed=3)
-    traj = evolve(FourierField(lat, 0.1 * _gff(2, 14).coeffs), path,
-                  DynamicsConfig(gamma=0.4, n_trunc=2))
-    directory = tmp_path / "traj"
-    traj.save(str(directory))
-    return directory
-
-
-@pytest.mark.parametrize("fmt", [None, "torus-phi4/trajectory-v0"])
-def test_trajectory_load_rejects_missing_or_unknown_format(tmp_path, fmt):
-    directory = _saved_trajectory(tmp_path)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    assert manifest["format"] == TRAJECTORY_FORMAT
-    if fmt is None:
-        del manifest["format"]
-    else:
-        manifest["format"] = fmt
-    (directory / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="format"):
-        Trajectory.load(str(directory))
-
-
-def test_trajectory_load_rejects_shape_mismatch(tmp_path):
-    directory = _saved_trajectory(tmp_path)
-    coeffs = np.load(directory / "coeffs.npy")
-    np.save(directory / "coeffs.npy", coeffs[:-1])  # one snapshot short
-    with pytest.raises(ValueError, match="shape"):
-        Trajectory.load(str(directory))
-    np.save(directory / "coeffs.npy", coeffs[:, :-1])  # one mode short
-    with pytest.raises(ValueError, match="shape"):
-        Trajectory.load(str(directory))
+@pytest.mark.parametrize("gamma", [float("nan"), np.array([[0.5], [np.inf]])],
+                         ids=["nan", "inf-row"])
+def test_dynamics_config_rejects_a_non_finite_damping(gamma):
+    # the config parser lets no non-finite number through, so the CLI tests
+    # cannot reach this case; negative dampings and drifts are covered there
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        DynamicsConfig(gamma=gamma, n_trunc=2)
 
 
 def test_evolve_raises_on_blowup():

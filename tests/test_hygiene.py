@@ -2,9 +2,9 @@
 
 Pure ``ast`` checks, so they need no linter installed.  The package's
 ``__init__.py`` re-exports names by importing them and is exempt from the
-unused-import rule.  Two import-time checks follow: the package leaves
-``scipy.sparse.csgraph`` unloaded, and the benchmark's tracer finds every
-name it wraps.
+unused-import rule.  Import-time checks follow: every name a demo imports
+from the package exists, the package leaves ``scipy.sparse.csgraph``
+unloaded, and the benchmark's tracer finds every name it wraps.
 """
 
 import ast
@@ -20,6 +20,7 @@ import torus_phi4
 
 PACKAGE = Path(torus_phi4.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -89,6 +90,31 @@ def test_all_names_exist(path):
 def test_checker_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c\n\nprint(b)\n")
     assert sorted(set(_imported_names(tree)) - _used_names(tree)) == ["c", "os"]
+
+
+def _missing_package_imports(tree: ast.Module) -> list:
+    """`from torus_phi4[.mod] import name` lines whose name does not exist."""
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "torus_phi4":
+            mod = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name} (line {node.lineno})"
+                        for a in node.names if not hasattr(mod, a.name)]
+    return missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_exist(path):
+    # no demo runs in the test suite, so a deletion that breaks one shows here
+    missing = _missing_package_imports(ast.parse(path.read_text()))
+    assert not missing, f"{path.name} imports names the package lacks: {missing}"
+
+
+def test_checker_sees_a_missing_package_import():
+    tree = ast.parse("from torus_phi4 import ModeLattice, propagator\n"
+                     "from torus_phi4.flows import evolve\nimport numpy\n")
+    assert _missing_package_imports(tree) == ["torus_phi4.propagator (line 1)"]
 
 
 def test_package_import_leaves_csgraph_unloaded():

@@ -11,7 +11,6 @@ from torus_phi4 import (
     duhamel_symbol,
     l4_ratio_scan,
     linear_evolution,
-    operator_norm_estimate,
     sample_gff,
     smooth_bump,
     sup_time_sobolev,
@@ -21,7 +20,7 @@ from torus_phi4 import (
     twisted_transform,
     xsb_norm,
 )
-from torus_phi4.xsb import RandomOperator, _reference_window
+from torus_phi4.xsb import _reference_window
 
 
 def test_trajectory_window_shape():
@@ -158,17 +157,3 @@ def test_l4_ratio_scan_small():
     rep = l4_ratio_scan(ball_sizes=(1, 2, 4), ensemble=3, seed=0)
     assert np.all(np.asarray(rep["ratio"]) > 0)
     assert np.isfinite(rep["growth_exponent"])
-
-
-def test_operator_norm_estimate_positive_and_zero_cases():
-    traj = _random_traj(2, 5, n_steps=64)
-    op = RandomOperator(frozen=traj, kind="linear_13", gamma=0.3)
-    val = operator_norm_estimate(op, s=0.0, b_in=0.5, b_out=0.5, probes=3)
-    assert val > 0
-    zero = Trajectory(
-        traj.lattice, traj.times, np.zeros_like(traj.coeffs), traj.gamma
-    )
-    opz = RandomOperator(frozen=zero, kind="linear_13", gamma=0.3)
-    assert operator_norm_estimate(opz, 0.0, 0.5, 0.5, probes=2) == 0.0
-    with pytest.raises(ValueError):
-        RandomOperator(frozen=traj, kind="nope").apply(traj.coeffs)
