@@ -33,6 +33,13 @@ two-slot flattening meet exactly when they agree on the linear constraint
 on the quadratic one at that kappa.  Each fiber block is then a complete
 product of a row set and a column set, so a level-keyed flattening fails
 the check only when its largest count product lies at kappa = 0.
+
+So `verify_tensor_bounds` takes the fiber sups of the three two-slot row
+groups from pair counts over the shells, with no flattening: off resonance
+the sup is sqrt of the largest row count times column count over one
+linear key and two unequal quadratic classes, and the resonant fiber alone
+goes through the block path.  The tensor path (`fiber_norm_sup`) is their
+oracle, and it still gives the plain norms and the single-slot fiber sups.
 """
 
 from __future__ import annotations
@@ -500,6 +507,96 @@ def _fiber_norm_sup(ranks: dict, levels: np.ndarray) -> dict:
             "norm2": max(sup[r] for r in _FAM2)}
 
 
+def _top_two(key: np.ndarray, cls: np.ndarray, n_keys: int) -> tuple:
+    """Per key 0..n_keys-1 of the items (key[k], cls[k]): the largest item
+    count of one class, that class, and the largest count of another class
+    (0 where there is none), as three int64 arrays."""
+    ids = _lex_ids((key, cls), key.size)
+    count = np.bincount(ids)
+    first = np.empty(count.size, dtype=np.int64)
+    first[ids] = np.arange(key.size)
+    key, cls = key[first], cls[first]  # one item per (key, class), by key
+    # by key, and within a key by decreasing count
+    order = _stable_order(key * (count.max() + 1) + count.max() - count)[0]
+    key, cls, count = key[order], cls[order], count[order]
+    out = np.zeros((3, n_keys), dtype=np.int64)
+    lead = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=lead[1:])
+    top = np.flatnonzero(lead)
+    out[0, key[top]], out[1, key[top]] = count[top], cls[top]
+    second = top[top + 1 < key.size] + 1
+    second = second[~lead[second]]
+    out[2, key[second]] = count[second]
+    return tuple(out)
+
+
+def _largest_product(key: np.ndarray, col_cls: np.ndarray, lone: np.ndarray,
+                     row_cls) -> int:
+    """max R*C over the keys and the pairs of unequal classes of a two-slot
+    flattening off resonance (0 if none).
+
+    key, col_cls: the (m, 2) key and the class of each column, one per
+    pair of the column slots' shells.  Rows are keyed by the same keys:
+    row_cls(keys, lone) gives the class of each key (first axis) and point
+    of the lone row slot's shell (second axis).  C and R count the columns
+    and the rows of one key and class.
+    """
+    if key.size == 0 or lone.size == 0:
+        return 0
+    kid = _lex_ids(key.T, len(key))
+    first = np.empty(int(kid.max()) + 1, dtype=np.int64)
+    first[kid] = np.arange(len(key))
+    keys = key[first]
+    r1, r_cls, r2 = _top_two(np.repeat(np.arange(len(keys)), len(lone)),
+                             row_cls(keys[:, None], lone[None]).ravel(), len(keys))
+    c1, c_cls, c2 = _top_two(kid, col_cls, len(keys))
+    prod = np.where(r_cls == c_cls, np.maximum(r1 * c2, r2 * c1), r1 * c1)
+    return int(prod.max())
+
+
+def _count_fiber_sups(ranks: dict, levels: np.ndarray, shells: tuple,
+                      centers: tuple = ((0, 0), (0, 0), (0, 0))) -> dict:
+    """Per row group of _FAM1 + _FAM2, the sup over the resonance levels of
+    the fiber norms of `build_tensor(shells, centers)` (no n_cap), whose
+    slot ranks and levels are given: bit for bit `_norm(ranks with level,
+    rows, per_level=True)`.
+
+    The single-slot groups take that closed form.  A two-slot group's sup
+    is the larger of its largest complete block off resonance,
+    sqrt(max R*C) by `_largest_product`, and the norm of its resonant fiber
+    by the block path.  The keys and classes (kappa the level):
+      {n,n2}  p = n1 + n3, rows |p - n2|^2 + |n2|^2, columns |n1|^2 + |n3|^2,
+              kappa their difference;
+      {n,n1}  d = n3 - n2, rows <n1, d>, columns <n2, d>, kappa twice the
+              difference;
+      {n,n3}  e = n1 - n2, rows <n3, e>, columns <n2, e>, likewise.
+    """
+    dot = lambda u, v: np.sum(u * v, axis=-1)
+    # every pair of points of two shells, as two aligned arrays
+    pairs = lambda u, v: (np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1)))
+    s1, s2, s3 = (_shell(c, n_lo) for c, n_lo in zip(centers, shells))
+    # a single-slot sup counts the entries of each (level, mode): the levels
+    # themselves rank those pairs as their level ranks would
+    sups = {r: _norm(dict(ranks, level=levels), r, per_level=True)
+            for r in (("n",), ("n1",))}
+    resonant = levels == 0
+    res_ranks = {s: ranks[s][resonant] for s in _SLOTS}
+    n1, n3 = pairs(s1, s3)
+    n2, m3 = pairs(s2, s3)
+    m1, m2 = pairs(s1, s2)
+    d, e = m3 - n2, m1 - m2
+    counts = {
+        ("n", "n2"): (n1 + n3, dot(n1, n1) + dot(n3, n3), s2,
+                      lambda p, z: dot(p - z, p - z) + dot(z, z)),
+        ("n", "n1"): (d, dot(n2, d), s1, dot),
+        ("n", "n3"): (e, dot(m2, e), s3, dot),
+    }
+    for rows, args in counts.items():
+        off = float(np.sqrt(_largest_product(*args)))
+        sups[rows] = max(off, _norm(res_ranks, rows))
+    return sups
+
+
 DEFAULT_SHELL_SWEEPS: tuple = (
     ((1, 1, 1), (2, 2, 2), (4, 4, 4)),
     ((2, 1, 1), (4, 2, 2)),
@@ -530,6 +627,11 @@ def verify_tensor_bounds(
     sweeps; flat trends (|mean slope| <= slope_tol) support the stated
     scalings.  Small shells are preasymptotic, so individual per-sweep
     slopes (also reported) can sit slightly above the tolerance.
+
+    The norms come from the built tensor, except the fiber sups of the
+    two-slot row groups: those take their off-resonance blocks from pair
+    counts and only the resonant fiber from the tensor (`_count_fiber_sups`),
+    bit for bit the values of `fiber_norm_sup`.
     """
     if not shell_sweeps:
         raise ValueError("no shell sweeps: a slope needs at least one sweep")
@@ -547,8 +649,8 @@ def verify_tensor_bounds(
             nmax, nmed, nmin = float(ns[0]), float(ns[1]), float(ns[2])
             ranks = _slot_ranks(t)
             norms = _tensor_norms(ranks)
-            sups = _fiber_norm_sup(ranks, t.levels)
-            f1, f2 = sups["norm1"], sups["norm2"]
+            sups = _count_fiber_sups(ranks, t.levels, shells)
+            f1, f2 = (max(sups[r] for r in fam) for fam in (_FAM1, _FAM2))
             sweep_rows.append(
                 {
                     "shells": shells,

@@ -346,7 +346,8 @@ def test_norms_never_call_np_unique(monkeypatch):
     # np.unique is not used for ranking: every key is ranked on a table or
     # by the packed sort; the oracles, computed before np.unique is patched,
     # rank by np.unique and go through the same block decomposition
-    tensors, want = [build_tensor(s) for s in ((2, 2, 2), (4, 2, 2))], []
+    triples = ((2, 2, 2), (4, 2, 2))
+    tensors, want = [build_tensor(s) for s in triples], []
     for t in tensors:
         level = np.unique(t.levels, return_inverse=True)[1]
         val = {(r, lv is None): _flattening_norm(*_reference_flatten(t, r, lv), NORM_TOL)
@@ -358,11 +359,25 @@ def test_norms_never_call_np_unique(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("tensor norms called np.unique")
 
+    # and the rows of verify_tensor_bounds over those two triples, from the
+    # same oracle values
+    eps = 0.1
+    rows = []
+    for t, (norms, sups), shells in zip(tensors, want, triples):
+        nmax, nmed, nmin = map(float, sorted(shells, reverse=True))
+        rows.append({"shells": shells, "nnz": t.nnz,
+                     "ratio_norm1": norms["norm1"] / (nmax * nmed),
+                     "ratio_fiber1": sups["norm1"] / (nmax ** (0.5 + eps) * nmed**0.5),
+                     "ratio_norm2": norms["norm2"] / (nmax * nmin),
+                     "ratio_fiber2": sups["norm2"] / (nmax ** (0.5 + eps) * nmin**0.5)})
+
     monkeypatch.setattr(np, "unique", forbidden)
     for t, (norms, sups) in zip(tensors, want):
         got = tensor_norms(t)
         assert {k: got[k] for k in norms} == norms
         assert fiber_norm_sup(t) == sups
+    rep = verify_tensor_bounds(shell_sweeps=(triples,), eps=eps)
+    assert rep["rows"] == rows
 
 
 @pytest.mark.parametrize("seed", _RANDOM_SEEDS + ["empty"])
@@ -387,6 +402,54 @@ def test_lone_slot_norms_equal_block_norms_bit_for_bit(seed):
                     want = _flattening_norm(*_flatten(ranks, rows, per_level), NORM_TOL)
                     assert _norm(ranks, rows, per_level) == want, (k, rows, per_level)
                 assert matricization_norm(tk, rows) == want  # the per_level=False value
+
+
+def test_top_two_counts_per_key():
+    # key 0: class 5 twice, 7 once; key 1: no item; keys 2 and 3: one class
+    # each, so no second count; key 4: classes -1 and 4 twice each (a tie:
+    # the second count equals the first)
+    key = np.array([4, 0, 3, 4, 0, 2, 3, 4, 0, 3, 4])
+    cls = np.array([4, 5, 9, 4, 7, 6, 9, -1, 5, 9, -1])
+    first, top_cls, second = counting._top_two(key, cls, 5)
+    assert first.tolist() == [2, 0, 1, 3, 2] and second.tolist() == [1, 0, 0, 0, 2]
+    assert top_cls[[0, 2, 3]].tolist() == [5, 6, 9] and top_cls[4] in (-1, 4)
+
+
+# the count route takes whole shells, so these have no output cap
+_COUNT_SHELLS = {
+    # n2 - n1 and n2 - n3 both point along +x: no entry is resonant
+    "no resonance": ((1, 1, 1), ((0, 0), (10, 0), (0, 0))),
+    # the {n,n1} sup is 1 + sqrt(3), from an open block at kappa = 0 above
+    # every count product off resonance; with integer shells of 1-4 and
+    # centres in [-2, 2]^2 no triple was found whose sup lies at kappa = 0
+    "resonant sup": ((1.0, 1.0, 1.2), ((4, -4), (2, -2), (0, -4))),
+    # no point has <n1 - c1> in [0.5, 1): no tensor, no pair, no key
+    "empty shell": ((0.5, 1, 1), ((0, 0), (0, 0), (0, 0))),
+}
+
+
+@pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS))
+def test_count_fiber_sups_equal_per_level_norms_bit_for_bit(case):
+    # off resonance from pair counts, at kappa = 0 by the block path: the
+    # values of the level-keyed flattenings of the built tensor, exactly
+    if case in _COUNT_SHELLS:
+        shells, centers = _COUNT_SHELLS[case]
+    else:  # shells of 1-4 and centres in [-2, 2]^2
+        rng = np.random.default_rng(case)
+        shells = tuple(int(v) for v in rng.integers(1, 5, 3))
+        centers = tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(3))
+    t = build_tensor(shells, centers=centers)
+    want = {r: _norm(_with_levels(t), r, per_level=True)
+            for r in dict.fromkeys(_FAM1 + _FAM2)}
+    assert counting._count_fiber_sups(_slot_ranks(t), t.levels, shells, centers) == want
+    if case == "no resonance":
+        assert t.nnz > 0 and not np.any(t.levels == 0)
+    if case == "empty shell":
+        assert t.nnz == 0 and set(want.values()) == {0.0}
+    if case == "resonant sup":
+        sup = want[("n", "n1")]
+        assert sup == _norm(_slot_ranks(fiber(t, 0)), ("n", "n1"))
+        assert sup == pytest.approx(1 + np.sqrt(3.0), rel=1e-12)
 
 
 def test_build_tensor_peak_above_the_tensor():
