@@ -38,8 +38,12 @@ So `verify_tensor_bounds` takes the fiber sups of the three two-slot row
 groups from pair counts over the shells, with no flattening: off resonance
 the sup is sqrt of the largest row count times column count over one
 linear key and two unequal quadratic classes, and the resonant fiber alone
-goes through the block path.  The tensor path (`fiber_norm_sup`) is their
-oracle, and it still gives the plain norms and the single-slot fiber sups.
+goes through the block path.  The plain norms come from the same counts:
+a plain two-slot flattening is block diagonal over its linear key, each
+block all ones less the pairings in it, so only the blocks whose Schur
+bound can win are built, and the single-slot norms are entry counts per
+mode.  The tensor path (`tensor_norms`, `fiber_norm_sup`) is their oracle,
+and it still gives the single-slot fiber sups and the resonant fiber.
 """
 
 from __future__ import annotations
@@ -156,7 +160,13 @@ class SparseTensor:
 
 
 def _shell(center, n_lo: float) -> np.ndarray:
-    """Points with n_lo <= <n - center> < 2*n_lo."""
+    """Points with n_lo <= <n - center> < 2*n_lo, in lexicographic order.
+
+    A shell below 1 (as n_lo = 0.5) is empty, as <m> >= 1; a size that is
+    not finite and positive is refused.
+    """
+    if not (np.isfinite(n_lo) and n_lo > 0):
+        raise ValueError(f"shell size {n_lo!r} is not finite and positive")
     hi = 2.0 * n_lo
     r = int(np.ceil(np.sqrt(hi * hi - 1.0)))
     pts = _box(tuple(center), r)
@@ -479,10 +489,7 @@ def tensor_norms(tensor: SparseTensor) -> dict:
     norm1: max over row groups {n}, {n1}, {n,n2}, {n,n3}.
     norm2: max over row groups {n}, {n,n1}.
     """
-    return _tensor_norms(_slot_ranks(tensor))
-
-
-def _tensor_norms(ranks: dict) -> dict:
+    ranks = _slot_ranks(tensor)
     vals = {r: _norm(ranks, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
     vals1, vals2 = ({r: vals[r] for r in fam} for fam in (_FAM1, _FAM2))
     return {"norm1": max(vals1.values()), "norm2": max(vals2.values()),
@@ -497,11 +504,7 @@ def fiber_norm_sup(tensor: SparseTensor) -> dict:
     leads every row and column key, so each flattening is block diagonal
     over the levels and one call per row group gives the sup.
     """
-    return _fiber_norm_sup(_slot_ranks(tensor), tensor.levels)
-
-
-def _fiber_norm_sup(ranks: dict, levels: np.ndarray) -> dict:
-    ranks = dict(ranks, level=_lex_ids((levels,), levels.size))
+    ranks = dict(_slot_ranks(tensor), level=_lex_ids((tensor.levels,), tensor.nnz))
     sup = {r: _norm(ranks, r, per_level=True) for r in dict.fromkeys(_FAM1 + _FAM2)}
     return {"norm1": max(sup[r] for r in _FAM1),
             "norm2": max(sup[r] for r in _FAM2)}
@@ -597,6 +600,129 @@ def _count_fiber_sups(ranks: dict, levels: np.ndarray, shells: tuple,
     return sups
 
 
+def _pairings(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> tuple:
+    """Shell indices (i1, i2, i3) of the triples of S1 x S2 x S3 with n2 = n1
+    or n2 = n3, each once: the pairings that `build_tensor` leaves out."""
+    pack = lambda s: s[:, 0].astype(np.int64) * (1 << 32) + s[:, 1]
+    common = lambda u, v: np.intersect1d(pack(u), pack(v), assume_unique=True,
+                                         return_indices=True)[1:]
+    a1, a2 = common(s1, s2)  # n1 = n2, any n3
+    b3, b2 = common(s3, s2)  # n3 = n2, any n1 but n2 itself
+    j1, j2, j3 = np.tile(np.arange(len(s1)), b2.size), np.repeat(b2, len(s1)), \
+        np.repeat(b3, len(s1))
+    partner = np.full(len(s1), -1)
+    partner[a1] = a2
+    once = partner[j1] != j2
+    return (np.concatenate([np.repeat(a1, len(s3)), j1[once]]),
+            np.concatenate([np.repeat(a2, len(s3)), j2[once]]),
+            np.concatenate([np.tile(np.arange(len(s3)), a1.size), j3[once]]))
+
+
+def _line_max(key: np.ndarray, left_out: np.ndarray, lines: np.ndarray,
+              full: np.ndarray) -> np.ndarray:
+    """Per key, the largest count of ones in one of its `lines` lines (rows
+    or columns) of `full` cells each, of which the line listed j has
+    left_out[j] cells cleared (key[j] its key; each line listed once)."""
+    best = np.where(np.bincount(key, minlength=lines.size) < lines, full, 0)
+    np.maximum.at(best, key, full[key] - left_out)
+    return best
+
+
+_RUN_ENTRIES = 1 << 14  # most entries of a run of key blocks, unless one holds more
+
+# per two-slot row group of the plain norms: the lone row slot z and the
+# column slots (a, b), a before b; n = n1 - n2 + n3 makes the flattening
+# block diagonal over a + b when z is n2 (n + n2 = n1 + n3), else a - b
+_PLAIN_BLOCKS = {("n", "n2"): ("n2", "n1", "n3"),
+                 ("n", "n1"): ("n1", "n2", "n3"),
+                 ("n", "n3"): ("n3", "n1", "n2")}
+
+
+def _count_plain_norms(points: tuple, pairings: tuple) -> dict:
+    """Per row group of _FAM1 + _FAM2, the norm of the plain flattening of
+    the tensor that `build_tensor` (no n_cap) makes of the point sets
+    `points` (S1, S2, S3, each in lexicographic order as `_shell` gives
+    them), whose `_pairings` are given: bit for bit `_norm(ranks, rows)`.
+
+    The single-slot groups take sqrt of the largest entry count of one
+    mode: |S2||S3| less the pairings of n1, and for n the triples with
+    n1 + n3 - n2 = n, from the pair counts C(p) of p = n1 + n3, less the
+    pairings.  Key block k of a two-slot group (see _PLAIN_BLOCKS) is the
+    all-ones |S_z| x C(k) block of the lone points and the column pairs of
+    key k, less the pairings in it: at most two per row and per column, or
+    all of them when a = b throughout.  So the pairings give each block's
+    nnz and its exact largest row and column counts.  The blocks are
+    visited by decreasing Schur bound sqrt(min(nnz, max row * max column)),
+    and those whose bound beats the largest norm so far are built, in tensor
+    order and with rows and columns ranked as the flattening ranks them,
+    and taken by `_flattening_norm`, in runs of 1, 4, 16, ... blocks of at
+    most _RUN_ENTRIES entries (or one larger block), so that the many small
+    blocks of one bound that lattice symmetry makes share a call.  The
+    components of a run are the flattening's, each with its entries in the
+    same order, so the value of each is theirs.
+    """
+    slot_pts = dict(zip(_SLOTS[1:], points))
+    slot_ids = dict(zip(_SLOTS[1:], pairings))
+    sizes = [len(s) for s in points]
+    per_n1 = sizes[1] * sizes[2] - np.bincount(pairings[0], minlength=sizes[0])
+    norms = {("n1",): float(np.sqrt(per_n1.max(initial=0)))}
+    for rows, (lone, a, b) in _PLAIN_BLOCKS.items():
+        z_pts, a_pts, b_pts = (slot_pts[s] for s in (lone, a, b))
+        nz = len(z_pts)
+        sign = 1 if lone == "n2" else -1
+        key = (a_pts[:, None] + sign * b_pts[None]).reshape(-1, 2)  # a major
+        kid = _lex_ids(key.T, len(key))
+        count = np.bincount(kid)  # C(k): column pairs of key k
+        # the pairings: z, the column (a, b) as a * |S_b| + b, and its key
+        z, col = slot_ids[lone], slot_ids[a] * len(b_pts) + slot_ids[b]
+        k = kid[col]
+        nnz = nz * count - np.bincount(k, minlength=count.size)
+        row = _lex_ids((k, z), k.size)
+        left_out = np.bincount(row)
+        row_key = np.empty(left_out.size, dtype=np.int64)
+        row_key[row] = k
+        max_row = _line_max(row_key, left_out, np.full(count.size, nz), count)
+        left_out = np.bincount(col, minlength=len(key))
+        col = np.flatnonzero(left_out)
+        max_col = _line_max(kid[col], left_out[col], count, np.full(count.size, nz))
+        bound = np.sqrt(np.minimum(nnz, max_row * max_col))
+        best, first, size = 0.0, 0, 1
+        order = np.argsort(-bound, kind="stable")
+        while first < order.size and bound[order[first]] > best:
+            # the next run, built at once: the tensor orders entries by
+            # (i1, i2, i3), so the lone index leads when z is n1; columns go
+            # by a, rows by n = z + k, or n = k - z (descending z) when z is n2
+            run = order[first:first + size]
+            run = run[(bound[run] > best)
+                      & (np.cumsum(nnz[run]) <= max(nnz[run[0]], _RUN_ENTRIES))]
+            first, size = first + run.size, 4 * size
+            place = np.full(count.size, -1)
+            place[run] = np.arange(run.size)
+            sel = np.flatnonzero(place[kid] >= 0)
+            ca, cb = np.divmod(sel, len(b_pts))
+            grid = np.meshgrid(np.arange(nz), np.arange(ca.size), indexing="ij")
+            zi, ci = (g.ravel() if lone == "n1" else g.T.ravel() for g in grid)
+            entry = {lone: z_pts[zi], a: a_pts[ca[ci]], b: b_pts[cb[ci]]}
+            n1, n2, n3 = (entry[s] for s in _SLOTS[1:])
+            keep = np.any(n2 != n1, axis=1) & np.any(n2 != n3, axis=1)
+            ri = place[kid[sel]][ci] * nz
+            ri += nz - 1 - zi if lone == "n2" else zi
+            best = max(best, _flattening_norm(ri[keep], ci[keep], NORM_TOL))
+        norms[rows] = best
+        if lone == "n2":
+            # {n}: the triples of mode n = p - n2 over the keys p = n1 + n3,
+            # C(p) each, less the pairings of mode n
+            p = np.empty_like(key[: count.size])
+            p[kid] = key
+            (s1, s2, s3), (i1, i2, i3) = points, pairings
+            modes = np.concatenate([(p[:, None] - s2[None]).reshape(-1, 2),
+                                    s1[i1] - s2[i2] + s3[i3]])
+            weight = np.concatenate([np.repeat(count, len(s2)), np.full(i1.size, -1)])
+            per_n = np.bincount(_lex_ids(modes.T, len(modes)), weights=weight)
+            norms[("n",)] = float(np.sqrt(per_n.max(initial=0)))
+    return norms
+
+
 DEFAULT_SHELL_SWEEPS: tuple = (
     ((1, 1, 1), (2, 2, 2), (4, 4, 4)),
     ((2, 1, 1), (4, 2, 2)),
@@ -628,10 +754,13 @@ def verify_tensor_bounds(
     scalings.  Small shells are preasymptotic, so individual per-sweep
     slopes (also reported) can sit slightly above the tolerance.
 
-    The norms come from the built tensor, except the fiber sups of the
-    two-slot row groups: those take their off-resonance blocks from pair
-    counts and only the resonant fiber from the tensor (`_count_fiber_sups`),
-    bit for bit the values of `fiber_norm_sup`.
+    The plain norms come from pair counts over the shells, with no tensor
+    (`_count_plain_norms`), bit for bit the values of `tensor_norms`; a
+    triple whose support is empty is refused before any norm is taken.
+    The fiber sups take the single-slot groups and the resonant fiber from
+    the built tensor and the off-resonance blocks of the two-slot groups
+    from pair counts (`_count_fiber_sups`), bit for bit the values of
+    `fiber_norm_sup`.
     """
     if not shell_sweeps:
         raise ValueError("no shell sweeps: a slope needs at least one sweep")
@@ -644,20 +773,24 @@ def verify_tensor_bounds(
     for sweep in shell_sweeps:
         sweep_rows = []
         for shells in sweep:
-            t = build_tensor(shells)
+            points = tuple(_shell((0, 0), n_lo) for n_lo in shells)
+            pairings = _pairings(*points)
+            if len(points[0]) * len(points[1]) * len(points[2]) == pairings[0].size:
+                raise ValueError(f"shell triple {shells} has an empty support")
             ns = sorted(shells, reverse=True)
             nmax, nmed, nmin = float(ns[0]), float(ns[1]), float(ns[2])
-            ranks = _slot_ranks(t)
-            norms = _tensor_norms(ranks)
-            sups = _count_fiber_sups(ranks, t.levels, shells)
-            f1, f2 = (max(sups[r] for r in fam) for fam in (_FAM1, _FAM2))
+            plain = _count_plain_norms(points, pairings)
+            t = build_tensor(shells)
+            sups = _count_fiber_sups(_slot_ranks(t), t.levels, shells)
+            norm1, norm2, f1, f2 = (max(vals[r] for r in fam) for vals in (plain, sups)
+                                    for fam in (_FAM1, _FAM2))
             sweep_rows.append(
                 {
                     "shells": shells,
                     "nnz": t.nnz,
-                    "ratio_norm1": norms["norm1"] / (nmax * nmed),
+                    "ratio_norm1": norm1 / (nmax * nmed),
                     "ratio_fiber1": f1 / (nmax ** (0.5 + eps) * nmed**0.5),
-                    "ratio_norm2": norms["norm2"] / (nmax * nmin),
+                    "ratio_norm2": norm2 / (nmax * nmin),
                     "ratio_fiber2": f2 / (nmax ** (0.5 + eps) * nmin**0.5),
                 }
             )

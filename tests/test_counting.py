@@ -1,6 +1,8 @@
 """Counting queries, sparse convolution tensors, matricization norms."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +452,166 @@ def test_count_fiber_sups_equal_per_level_norms_bit_for_bit(case):
         sup = want[("n", "n1")]
         assert sup == _norm(_slot_ranks(fiber(t, 0)), ("n", "n1"))
         assert sup == pytest.approx(1 + np.sqrt(3.0), rel=1e-12)
+
+
+def _tensor_on(points):
+    """The tensor `build_tensor` gives on three point sets in lexicographic
+    order: the product less the pairings, in (i1, i2, i3) order."""
+    s1, s2, s3 = points
+    i1, i2, i3 = np.indices((len(s1), len(s2), len(s3))).reshape(3, -1)
+    n1, n2, n3 = s1[i1], s2[i2], s3[i3]
+    keep = np.any(n2 != n1, axis=1) & np.any(n2 != n3, axis=1)
+    n1, n2, n3 = n1[keep], n2[keep], n3[keep]
+    n = n1 - n2 + n3
+    return SparseTensor(n, n1, n2, n3, resonance_phase(n, n1, n2, n3).astype(np.int32))
+
+
+# three point sets with a {n,n2} key block that splits: at p = n1 + n3 =
+# (2, 0) the columns (n1, n3) = ((1, 0), (1, 0)) and ((2, 0), (0, 0)) leave
+# out the rows n2 = (1, 0) and n2 = (0, 0), a 2 x 2 block less a permutation
+_SPLIT_BLOCK = (np.array([[1, 0], [2, 0], [2, 1]]), np.array([[0, 0], [1, 0]]),
+                np.array([[0, 0], [1, 0]]))
+# the benchmark's triples; (4, 4, 2) holds 0.78M entries
+_BENCH_TRIPLES = [(1, 1, 1), (2, 2, 2), (2, 1, 1), (4, 2, 2), (2, 2, 1), (4, 4, 2)]
+# numbering the rows (n, n2) of a {n,n2} key block by ascending n2, not by
+# ascending n, moves the last bit of this triple's {n,n2} norm
+_PLAIN_SHELLS = {"row order": ((4, 1.2, 1.5), ((-3, -3), (3, -2), (2, -2)))}
+
+
+def _count_input(case):
+    """The points (S1, S2, S3) of a count-route case and its tensor."""
+    if case == "split block":
+        return _SPLIT_BLOCK, _tensor_on(_SPLIT_BLOCK)
+    if isinstance(case, tuple):
+        shells, centers = case, ((0, 0), (0, 0), (0, 0))
+    elif isinstance(case, str):
+        shells, centers = {**_COUNT_SHELLS, **_PLAIN_SHELLS}[case]
+    else:  # the random shells and centres of the fiber-sup test
+        rng = np.random.default_rng(case)
+        shells = tuple(int(v) for v in rng.integers(1, 5, 3))
+        centers = tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(3))
+    points = tuple(counting._shell(c, n_lo) for c, n_lo in zip(centers, shells))
+    return points, build_tensor(shells, centers=centers)
+
+
+@pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS) + list(_PLAIN_SHELLS)
+                         + _BENCH_TRIPLES + ["split block"])
+def test_count_plain_norms_equal_plain_norms_bit_for_bit(case):
+    # from pair counts over the shells: the values of the plain flattenings
+    # of the built tensor, exactly
+    points, t = _count_input(case)
+    pairings = counting._pairings(*points)
+    assert len(points[0]) * len(points[1]) * len(points[2]) - pairings[0].size == t.nnz
+    ranks = _slot_ranks(t)
+    want = {r: _norm(ranks, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
+    assert counting._count_plain_norms(points, pairings) == want
+
+
+def test_count_plain_norms_take_a_split_key_block(monkeypatch):
+    # the first {n,n2} key block, p = (1, 0), has no entry, so the split one
+    # is the first built: two entries in two rows and two columns, two
+    # components of norm 1
+    calls, flattening_norm = [], counting._flattening_norm
+
+    def recorded(ri, ci, tol):
+        calls.append((ri.copy(), ci.copy()))
+        return flattening_norm(ri, ci, tol)
+
+    monkeypatch.setattr(counting, "_flattening_norm", recorded)
+    norms = counting._count_plain_norms(_SPLIT_BLOCK, counting._pairings(*_SPLIT_BLOCK))
+    ri, ci = calls[0]
+    assert ri.size == 2 and len(set(ri)) == 2 and len(set(ci)) == 2
+    assert norms[("n", "n2")] == 1.0
+
+
+def test_count_plain_norms_iterate_an_open_winner(monkeypatch):
+    # at (4, 4, 2) the largest {n,n2} blocks are all ones less pairings,
+    # below their count bound sqrt(3675): the value is iterated, as the
+    # tensor path iterates it
+    calls = _count_graph_searches(monkeypatch)
+    points = tuple(counting._shell((0, 0), n_lo) for n_lo in (4, 4, 2))
+    norms = counting._count_plain_norms(points, counting._pairings(*points))
+    assert norms[("n", "n2")] == 60.423505360083176 < np.sqrt(3675.0)
+    assert calls
+
+
+def test_count_plain_norms_prune_by_exact_line_counts(monkeypatch):
+    # at (16, 2, 2) the bound sqrt(min(nnz, max row * max column)) lets 5
+    # calls with 75 242 entries decide the three two-slot norms; sqrt(nnz)
+    # alone built 3.56M entries in 219 calls, more than the 3.04M the
+    # tensor holds
+    sizes, flattening_norm = [], counting._flattening_norm
+
+    def recorded(ri, ci, tol):
+        sizes.append(ri.size)
+        return flattening_norm(ri, ci, tol)
+
+    monkeypatch.setattr(counting, "_flattening_norm", recorded)
+    points = tuple(counting._shell((0, 0), n_lo) for n_lo in (16, 2, 2))
+    counting._count_plain_norms(points, counting._pairings(*points))
+    assert sum(sizes) <= 100_000
+
+
+def test_verify_tensor_bounds_builds_no_whole_plain_flattening(monkeypatch):
+    # every `_flattening_norm` call of the plain norms takes key blocks, up
+    # to the largest of them or a run of _RUN_ENTRIES entries; those of the
+    # fiber sups take the resonant entries
+    sweeps = (((2, 1, 1), (4, 2, 2)),)
+    calls, resonant, flattening_norm = [], [False], counting._flattening_norm
+    count_fiber_sups = counting._count_fiber_sups
+
+    def recorded(ri, ci, tol):
+        calls.append((ri.size, resonant[0]))
+        return flattening_norm(ri, ci, tol)
+
+    def fiber_sups(*args):
+        resonant[0] = True
+        try:
+            return count_fiber_sups(*args)
+        finally:
+            resonant[0] = False
+
+    monkeypatch.setattr(counting, "_flattening_norm", recorded)
+    monkeypatch.setattr(counting, "_count_fiber_sups", fiber_sups)
+    verify_tensor_bounds(shell_sweeps=sweeps)
+    monkeypatch.undo()
+    largest, at_zero = 0, 0
+    for shells in sweeps[0]:
+        t = build_tensor(shells)
+        at_zero = max(at_zero, int(np.count_nonzero(t.levels == 0)))
+        for other in ("n1", "n2", "n3"):  # the keys n - n1, n + n2, n - n3
+            sign = 1 if other == "n2" else -1
+            key = t.n.astype(np.int64) + sign * getattr(t, other)
+            largest = max(largest, int(np.bincount(_lex_ids(key.T, t.nnz)).max()))
+    plain = [size for size, res in calls if not res]
+    assert plain and max(plain) <= max(largest, counting._RUN_ENTRIES) < 186_480
+    assert max(size for size, res in calls if res) <= at_zero
+
+
+@pytest.mark.parametrize("n_lo", [0, -1, 0.0, float("nan"), float("inf")])
+def test_shell_sizes_not_finite_and_positive_raise(n_lo):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"shell size {n_lo!r}")):
+            build_tensor((n_lo, 1, 1))
+        with pytest.raises(ValueError, match="not finite and positive"):
+            verify_tensor_bounds(shell_sweeps=(((1, 1, 1), (2, n_lo, 2)),))
+
+
+def test_verify_tensor_bounds_refuses_an_empty_support(monkeypatch):
+    # no point has <n1> in [0.5, 1): the triple is named before any tensor
+    # is built or norm taken, with no warning; the shell itself stays valid
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tensor or a norm was taken")
+
+    for name in ("build_tensor", "_count_plain_norms", "_count_fiber_sups"):
+        monkeypatch.setattr(counting, name, forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\(0\.5, 1, 1\) has an empty support"):
+            verify_tensor_bounds(shell_sweeps=(((0.5, 1, 1), (1, 2, 2)),))
+    monkeypatch.undo()
+    assert build_tensor((0.5, 1, 1)).nnz == 0
 
 
 def test_build_tensor_peak_above_the_tensor():
