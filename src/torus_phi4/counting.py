@@ -34,16 +34,14 @@ on the quadratic one at that kappa.  Each fiber block is then a complete
 product of a row set and a column set, so a level-keyed flattening fails
 the check only when its largest count product lies at kappa = 0.
 
-So `verify_tensor_bounds` takes the fiber sups of the three two-slot row
-groups from pair counts over the shells, with no flattening: off resonance
-the sup is sqrt of the largest row count times column count over one
-linear key and two unequal quadratic classes, and the resonant fiber alone
-goes through the block path.  The plain norms come from the same counts:
-a plain two-slot flattening is block diagonal over its linear key, each
-block all ones less the pairings in it, so only the blocks whose Schur
-bound can win are built, and the single-slot norms are entry counts per
-mode.  The tensor path (`tensor_norms`, `fiber_norm_sup`) is their oracle,
-and it still gives the single-slot fiber sups and the resonant fiber.
+So `verify_tensor_bounds` takes every norm from one pass of pair counts
+over the shells.  A two-slot flattening is block diagonal over its linear
+key, each block all ones less the pairings in it: the plain norm builds
+only the blocks whose Schur bound can win, and off resonance the fiber sup
+is sqrt of the largest row count times column count over one key and two
+unequal quadratic parts, so only the resonant fiber takes the block path.
+Single-slot norms are entry counts per mode, or per level and mode.  The
+tensor path (`tensor_norms`, `fiber_norm_sup`) is their oracle.
 """
 
 from __future__ import annotations
@@ -174,6 +172,14 @@ def _shell(center, n_lo: float) -> np.ndarray:
     return pts[(br >= n_lo - 1e-12) & (br < hi - 1e-12)]
 
 
+def _guarded_shells(shells: tuple, centers: tuple) -> tuple:
+    """The slots' `_shell` point sets, refused past the support guard."""
+    points = tuple(_shell(c, n_lo) for c, n_lo in zip(centers, shells))
+    if len(points[0]) * len(points[1]) * len(points[2]) > SUPPORT_GUARD:
+        raise ValueError("shell volumes exceed the support guard")
+    return points
+
+
 def build_tensor(
     shells: tuple,
     centers: tuple = ((0, 0), (0, 0), (0, 0)),
@@ -187,9 +193,7 @@ def build_tensor(
     are `resonance_phase` of the coordinates, summed from per-shell squared
     norms.
     """
-    s1, s2, s3 = (_shell(c, n_lo) for c, n_lo in zip(centers, shells))
-    if s1.shape[0] * s2.shape[0] * s3.shape[0] > SUPPORT_GUARD:
-        raise ValueError("shell volumes exceed the support guard")
+    s1, s2, s3 = _guarded_shells(shells, centers)
     # every point of the shells, and the box that holds n = n1 - n2 + n3,
     # must fit the int16 coordinates stored
     box = (s1.min(0) - s2.max(0) + s3.min(0), s1.max(0) - s2.min(0) + s3.max(0)
@@ -518,86 +522,14 @@ def _top_two(key: np.ndarray, cls: np.ndarray, n_keys: int) -> tuple:
     count = np.bincount(ids)
     first = np.empty(count.size, dtype=np.int64)
     first[ids] = np.arange(key.size)
-    key, cls = key[first], cls[first]  # one item per (key, class), by key
-    # by key, and within a key by decreasing count
-    order = _stable_order(key * (count.max() + 1) + count.max() - count)[0]
-    key, cls, count = key[order], cls[order], count[order]
+    key, cls = key[first], cls[first]  # one item per (key, class)
     out = np.zeros((3, n_keys), dtype=np.int64)
-    lead = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=lead[1:])
-    top = np.flatnonzero(lead)
-    out[0, key[top]], out[1, key[top]] = count[top], cls[top]
-    second = top[top + 1 < key.size] + 1
-    second = second[~lead[second]]
-    out[2, key[second]] = count[second]
+    np.maximum.at(out[0], key, count)
+    top = count == out[0, key]
+    out[1, key[top]] = cls[top]  # of tied classes, any one
+    other = cls != out[1, key]
+    np.maximum.at(out[2], key[other], count[other])
     return tuple(out)
-
-
-def _largest_product(key: np.ndarray, col_cls: np.ndarray, lone: np.ndarray,
-                     row_cls) -> int:
-    """max R*C over the keys and the pairs of unequal classes of a two-slot
-    flattening off resonance (0 if none).
-
-    key, col_cls: the (m, 2) key and the class of each column, one per
-    pair of the column slots' shells.  Rows are keyed by the same keys:
-    row_cls(keys, lone) gives the class of each key (first axis) and point
-    of the lone row slot's shell (second axis).  C and R count the columns
-    and the rows of one key and class.
-    """
-    if key.size == 0 or lone.size == 0:
-        return 0
-    kid = _lex_ids(key.T, len(key))
-    first = np.empty(int(kid.max()) + 1, dtype=np.int64)
-    first[kid] = np.arange(len(key))
-    keys = key[first]
-    r1, r_cls, r2 = _top_two(np.repeat(np.arange(len(keys)), len(lone)),
-                             row_cls(keys[:, None], lone[None]).ravel(), len(keys))
-    c1, c_cls, c2 = _top_two(kid, col_cls, len(keys))
-    prod = np.where(r_cls == c_cls, np.maximum(r1 * c2, r2 * c1), r1 * c1)
-    return int(prod.max())
-
-
-def _count_fiber_sups(ranks: dict, levels: np.ndarray, shells: tuple,
-                      centers: tuple = ((0, 0), (0, 0), (0, 0))) -> dict:
-    """Per row group of _FAM1 + _FAM2, the sup over the resonance levels of
-    the fiber norms of `build_tensor(shells, centers)` (no n_cap), whose
-    slot ranks and levels are given: bit for bit `_norm(ranks with level,
-    rows, per_level=True)`.
-
-    The single-slot groups take that closed form.  A two-slot group's sup
-    is the larger of its largest complete block off resonance,
-    sqrt(max R*C) by `_largest_product`, and the norm of its resonant fiber
-    by the block path.  The keys and classes (kappa the level):
-      {n,n2}  p = n1 + n3, rows |p - n2|^2 + |n2|^2, columns |n1|^2 + |n3|^2,
-              kappa their difference;
-      {n,n1}  d = n3 - n2, rows <n1, d>, columns <n2, d>, kappa twice the
-              difference;
-      {n,n3}  e = n1 - n2, rows <n3, e>, columns <n2, e>, likewise.
-    """
-    dot = lambda u, v: np.sum(u * v, axis=-1)
-    # every pair of points of two shells, as two aligned arrays
-    pairs = lambda u, v: (np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1)))
-    s1, s2, s3 = (_shell(c, n_lo) for c, n_lo in zip(centers, shells))
-    # a single-slot sup counts the entries of each (level, mode): the levels
-    # themselves rank those pairs as their level ranks would
-    sups = {r: _norm(dict(ranks, level=levels), r, per_level=True)
-            for r in (("n",), ("n1",))}
-    resonant = levels == 0
-    res_ranks = {s: ranks[s][resonant] for s in _SLOTS}
-    n1, n3 = pairs(s1, s3)
-    n2, m3 = pairs(s2, s3)
-    m1, m2 = pairs(s1, s2)
-    d, e = m3 - n2, m1 - m2
-    counts = {
-        ("n", "n2"): (n1 + n3, dot(n1, n1) + dot(n3, n3), s2,
-                      lambda p, z: dot(p - z, p - z) + dot(z, z)),
-        ("n", "n1"): (d, dot(n2, d), s1, dot),
-        ("n", "n3"): (e, dot(m2, e), s3, dot),
-    }
-    for rows, args in counts.items():
-        off = float(np.sqrt(_largest_product(*args)))
-        sups[rows] = max(off, _norm(res_ranks, rows))
-    return sups
 
 
 def _pairings(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> tuple:
@@ -630,19 +562,21 @@ def _line_max(key: np.ndarray, left_out: np.ndarray, lines: np.ndarray,
 
 _RUN_ENTRIES = 1 << 14  # most entries of a run of key blocks, unless one holds more
 
-# per two-slot row group of the plain norms: the lone row slot z and the
-# column slots (a, b), a before b; n = n1 - n2 + n3 makes the flattening
-# block diagonal over a + b when z is n2 (n + n2 = n1 + n3), else a - b
+# per two-slot row group: the lone row slot z and the column slots (a, b),
+# a before b; n = n1 - n2 + n3 makes the flattening block diagonal over
+# a + b when z is n2 (n + n2 = n1 + n3), else a - b
 _PLAIN_BLOCKS = {("n", "n2"): ("n2", "n1", "n3"),
                  ("n", "n1"): ("n1", "n2", "n3"),
                  ("n", "n3"): ("n3", "n1", "n2")}
 
 
-def _count_plain_norms(points: tuple, pairings: tuple) -> dict:
-    """Per row group of _FAM1 + _FAM2, the norm of the plain flattening of
-    the tensor that `build_tensor` (no n_cap) makes of the point sets
-    `points` (S1, S2, S3, each in lexicographic order as `_shell` gives
-    them), whose `_pairings` are given: bit for bit `_norm(ranks, rows)`.
+def _count_norms(points: tuple, pairings: tuple, tensor: SparseTensor) -> tuple:
+    """Per row group of _FAM1 + _FAM2, the norm of the plain flattening and
+    the sup over the resonance levels of the fiber norms of `tensor`, the
+    tensor that `build_tensor` (no n_cap) makes of the point sets `points`
+    (S1, S2, S3, each in lexicographic order as `_shell` gives them), whose
+    `_pairings` are given: two dicts, bit for bit `_norm(ranks, rows)` and
+    `_norm(ranks with level, rows, per_level=True)`.
 
     The single-slot groups take sqrt of the largest entry count of one
     mode: |S2||S3| less the pairings of n1, and for n the triples with
@@ -660,20 +594,39 @@ def _count_plain_norms(points: tuple, pairings: tuple) -> dict:
     blocks of one bound that lattice symmetry makes share a call.  The
     components of a run are the flattening's, each with its entries in the
     same order, so the value of each is theirs.
+
+    The fiber sups share the keys.  On key block k, kappa / 2 is a row part,
+    of the lone point and k, less a column part, of the column pair, or the
+    reverse: {n,n2} rows <n2, k - n2>, columns <n1, n3>; {n,n1} and {n,n3}
+    rows <z, k>, columns <n2, k>.  Off resonance the parts differ and no
+    pairing removes an entry, so the sup there is sqrt of the largest
+    product of the row and column counts of one key and two unequal parts,
+    from the two largest part counts of each key on either side
+    (`_top_two`).  The resonant fiber, about 2% of the entries, takes the
+    block path on its own slot ranks; a single-slot sup is sqrt of the
+    largest entry count of one level and mode of the tensor.
     """
+    dot = lambda u, v: np.sum(u * v, axis=-1)
     slot_pts = dict(zip(_SLOTS[1:], points))
     slot_ids = dict(zip(_SLOTS[1:], pairings))
     sizes = [len(s) for s in points]
     per_n1 = sizes[1] * sizes[2] - np.bincount(pairings[0], minlength=sizes[0])
     norms = {("n1",): float(np.sqrt(per_n1.max(initial=0)))}
+    sups = {}
+    for s in ("n", "n1"):
+        ids = _lex_ids((tensor.levels, *getattr(tensor, s).T), tensor.nnz)
+        sups[(s,)] = float(np.sqrt(np.bincount(ids).max(initial=0)))
+    resonant = _slot_ranks(fiber(tensor, 0))
     for rows, (lone, a, b) in _PLAIN_BLOCKS.items():
         z_pts, a_pts, b_pts = (slot_pts[s] for s in (lone, a, b))
         nz = len(z_pts)
         sign = 1 if lone == "n2" else -1
-        key = (a_pts[:, None] + sign * b_pts[None]).reshape(-1, 2)  # a major
+        grid = a_pts[:, None] + sign * b_pts[None]
+        key = grid.reshape(-1, 2)  # a major
         kid = _lex_ids(key.T, len(key))
         count = np.bincount(kid)  # C(k): column pairs of key k
-        # the pairings: z, the column (a, b) as a * |S_b| + b, and its key
+        keys = np.empty_like(key[: count.size])
+        keys[kid] = key
         z, col = slot_ids[lone], slot_ids[a] * len(b_pts) + slot_ids[b]
         k = kid[col]
         nnz = nz * count - np.bincount(k, minlength=count.size)
@@ -700,8 +653,8 @@ def _count_plain_norms(points: tuple, pairings: tuple) -> dict:
             place[run] = np.arange(run.size)
             sel = np.flatnonzero(place[kid] >= 0)
             ca, cb = np.divmod(sel, len(b_pts))
-            grid = np.meshgrid(np.arange(nz), np.arange(ca.size), indexing="ij")
-            zi, ci = (g.ravel() if lone == "n1" else g.T.ravel() for g in grid)
+            mesh = np.meshgrid(np.arange(nz), np.arange(ca.size), indexing="ij")
+            zi, ci = (g.ravel() if lone == "n1" else g.T.ravel() for g in mesh)
             entry = {lone: z_pts[zi], a: a_pts[ca[ci]], b: b_pts[cb[ci]]}
             n1, n2, n3 = (entry[s] for s in _SLOTS[1:])
             keep = np.any(n2 != n1, axis=1) & np.any(n2 != n3, axis=1)
@@ -712,15 +665,25 @@ def _count_plain_norms(points: tuple, pairings: tuple) -> dict:
         if lone == "n2":
             # {n}: the triples of mode n = p - n2 over the keys p = n1 + n3,
             # C(p) each, less the pairings of mode n
-            p = np.empty_like(key[: count.size])
-            p[kid] = key
             (s1, s2, s3), (i1, i2, i3) = points, pairings
-            modes = np.concatenate([(p[:, None] - s2[None]).reshape(-1, 2),
+            modes = np.concatenate([(keys[:, None] - s2[None]).reshape(-1, 2),
                                     s1[i1] - s2[i2] + s3[i3]])
             weight = np.concatenate([np.repeat(count, len(s2)), np.full(i1.size, -1)])
             per_n = np.bincount(_lex_ids(modes.T, len(modes)), weights=weight)
             norms[("n",)] = float(np.sqrt(per_n.max(initial=0)))
-    return norms
+        # the row and column parts of kappa / 2, by key
+        if lone == "n2":
+            row_part = dot(z_pts, keys[:, None] - z_pts)
+            col_part = dot(a_pts[:, None], b_pts)
+        else:
+            row_part = dot(keys[:, None], z_pts)
+            col_part = dot(grid, a_pts[:, None] if a == "n2" else b_pts)
+        r1, r_part, r2 = _top_two(np.repeat(np.arange(count.size), nz), row_part.ravel(),
+                                  count.size)
+        c1, c_part, c2 = _top_two(kid, col_part.ravel(), count.size)
+        off = np.where(r_part == c_part, np.maximum(r1 * c2, r2 * c1), r1 * c1)
+        sups[rows] = max(float(np.sqrt(off.max(initial=0))), _norm(resonant, rows))
+    return norms, sups
 
 
 DEFAULT_SHELL_SWEEPS: tuple = (
@@ -754,13 +717,11 @@ def verify_tensor_bounds(
     scalings.  Small shells are preasymptotic, so individual per-sweep
     slopes (also reported) can sit slightly above the tolerance.
 
-    The plain norms come from pair counts over the shells, with no tensor
-    (`_count_plain_norms`), bit for bit the values of `tensor_norms`; a
-    triple whose support is empty is refused before any norm is taken.
-    The fiber sups take the single-slot groups and the resonant fiber from
-    the built tensor and the off-resonance blocks of the two-slot groups
-    from pair counts (`_count_fiber_sups`), bit for bit the values of
-    `fiber_norm_sup`.
+    Each triple's shells are taken once, and refused past the support guard
+    or with an empty support before any pair is counted or norm taken.  One
+    count pass over them (`_count_norms`) gives the plain norms and the
+    fiber sups, bit for bit the values of `tensor_norms` and
+    `fiber_norm_sup`; of the built tensor it ranks only the resonant fiber.
     """
     if not shell_sweeps:
         raise ValueError("no shell sweeps: a slope needs at least one sweep")
@@ -773,15 +734,14 @@ def verify_tensor_bounds(
     for sweep in shell_sweeps:
         sweep_rows = []
         for shells in sweep:
-            points = tuple(_shell((0, 0), n_lo) for n_lo in shells)
+            points = _guarded_shells(shells, ((0, 0),) * 3)
             pairings = _pairings(*points)
             if len(points[0]) * len(points[1]) * len(points[2]) == pairings[0].size:
                 raise ValueError(f"shell triple {shells} has an empty support")
             ns = sorted(shells, reverse=True)
             nmax, nmed, nmin = float(ns[0]), float(ns[1]), float(ns[2])
-            plain = _count_plain_norms(points, pairings)
             t = build_tensor(shells)
-            sups = _count_fiber_sups(_slot_ranks(t), t.levels, shells)
+            plain, sups = _count_norms(points, pairings, t)
             norm1, norm2, f1, f2 = (max(vals[r] for r in fam) for vals in (plain, sups)
                                     for fam in (_FAM1, _FAM2))
             sweep_rows.append(

@@ -430,30 +430,6 @@ _COUNT_SHELLS = {
 }
 
 
-@pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS))
-def test_count_fiber_sups_equal_per_level_norms_bit_for_bit(case):
-    # off resonance from pair counts, at kappa = 0 by the block path: the
-    # values of the level-keyed flattenings of the built tensor, exactly
-    if case in _COUNT_SHELLS:
-        shells, centers = _COUNT_SHELLS[case]
-    else:  # shells of 1-4 and centres in [-2, 2]^2
-        rng = np.random.default_rng(case)
-        shells = tuple(int(v) for v in rng.integers(1, 5, 3))
-        centers = tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(3))
-    t = build_tensor(shells, centers=centers)
-    want = {r: _norm(_with_levels(t), r, per_level=True)
-            for r in dict.fromkeys(_FAM1 + _FAM2)}
-    assert counting._count_fiber_sups(_slot_ranks(t), t.levels, shells, centers) == want
-    if case == "no resonance":
-        assert t.nnz > 0 and not np.any(t.levels == 0)
-    if case == "empty shell":
-        assert t.nnz == 0 and set(want.values()) == {0.0}
-    if case == "resonant sup":
-        sup = want[("n", "n1")]
-        assert sup == _norm(_slot_ranks(fiber(t, 0)), ("n", "n1"))
-        assert sup == pytest.approx(1 + np.sqrt(3.0), rel=1e-12)
-
-
 def _tensor_on(points):
     """The tensor `build_tensor` gives on three point sets in lexicographic
     order: the product less the pairings, in (i1, i2, i3) order."""
@@ -478,6 +454,16 @@ _BENCH_TRIPLES = [(1, 1, 1), (2, 2, 2), (2, 1, 1), (4, 2, 2), (2, 2, 1), (4, 4, 
 _PLAIN_SHELLS = {"row order": ((4, 1.2, 1.5), ((-3, -3), (3, -2), (2, -2)))}
 
 
+# the plain norms read no entry of the tensor: an empty one stands in
+_NO_TENSOR = SparseTensor(*(np.zeros((0, 2), dtype=np.int16),) * 4,
+                          np.zeros(0, dtype=np.int32))
+
+
+def _count_plain_norms(points):
+    """The plain norms of the count pass on three point sets."""
+    return counting._count_norms(points, counting._pairings(*points), _NO_TENSOR)[0]
+
+
 def _count_input(case):
     """The points (S1, S2, S3) of a count-route case and its tensor."""
     if case == "split block":
@@ -486,7 +472,7 @@ def _count_input(case):
         shells, centers = case, ((0, 0), (0, 0), (0, 0))
     elif isinstance(case, str):
         shells, centers = {**_COUNT_SHELLS, **_PLAIN_SHELLS}[case]
-    else:  # the random shells and centres of the fiber-sup test
+    else:  # shells of 1-4 and centres in [-2, 2]^2
         rng = np.random.default_rng(case)
         shells = tuple(int(v) for v in rng.integers(1, 5, 3))
         centers = tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(3))
@@ -497,14 +483,25 @@ def _count_input(case):
 @pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS) + list(_PLAIN_SHELLS)
                          + _BENCH_TRIPLES + ["split block"])
 def test_count_plain_norms_equal_plain_norms_bit_for_bit(case):
-    # from pair counts over the shells: the values of the plain flattenings
-    # of the built tensor, exactly
+    # both value families of the one count pass, exactly: the plain norms
+    # from pair counts over the shells, and the fiber sups from pair counts
+    # off resonance and the block path at kappa = 0, against the plain and
+    # the level-keyed flattenings of the built tensor
     points, t = _count_input(case)
     pairings = counting._pairings(*points)
     assert len(points[0]) * len(points[1]) * len(points[2]) - pairings[0].size == t.nnz
-    ranks = _slot_ranks(t)
-    want = {r: _norm(ranks, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
-    assert counting._count_plain_norms(points, pairings) == want
+    ranks, groups = _with_levels(t), dict.fromkeys(_FAM1 + _FAM2)
+    plain = {r: _norm(ranks, r) for r in groups}
+    sups = {r: _norm(ranks, r, per_level=True) for r in groups}
+    assert counting._count_norms(points, pairings, t) == (plain, sups)
+    if case == "no resonance":
+        assert t.nnz > 0 and not np.any(t.levels == 0)
+    if case == "empty shell":
+        assert t.nnz == 0 and set(sups.values()) == {0.0}
+    if case == "resonant sup":
+        sup = sups[("n", "n1")]
+        assert sup == _norm(_slot_ranks(fiber(t, 0)), ("n", "n1"))
+        assert sup == pytest.approx(1 + np.sqrt(3.0), rel=1e-12)
 
 
 def test_count_plain_norms_take_a_split_key_block(monkeypatch):
@@ -518,7 +515,7 @@ def test_count_plain_norms_take_a_split_key_block(monkeypatch):
         return flattening_norm(ri, ci, tol)
 
     monkeypatch.setattr(counting, "_flattening_norm", recorded)
-    norms = counting._count_plain_norms(_SPLIT_BLOCK, counting._pairings(*_SPLIT_BLOCK))
+    norms = _count_plain_norms(_SPLIT_BLOCK)
     ri, ci = calls[0]
     assert ri.size == 2 and len(set(ri)) == 2 and len(set(ci)) == 2
     assert norms[("n", "n2")] == 1.0
@@ -530,7 +527,7 @@ def test_count_plain_norms_iterate_an_open_winner(monkeypatch):
     # tensor path iterates it
     calls = _count_graph_searches(monkeypatch)
     points = tuple(counting._shell((0, 0), n_lo) for n_lo in (4, 4, 2))
-    norms = counting._count_plain_norms(points, counting._pairings(*points))
+    norms = _count_plain_norms(points)
     assert norms[("n", "n2")] == 60.423505360083176 < np.sqrt(3675.0)
     assert calls
 
@@ -548,31 +545,30 @@ def test_count_plain_norms_prune_by_exact_line_counts(monkeypatch):
 
     monkeypatch.setattr(counting, "_flattening_norm", recorded)
     points = tuple(counting._shell((0, 0), n_lo) for n_lo in (16, 2, 2))
-    counting._count_plain_norms(points, counting._pairings(*points))
+    _count_plain_norms(points)
     assert sum(sizes) <= 100_000
 
 
 def test_verify_tensor_bounds_builds_no_whole_plain_flattening(monkeypatch):
     # every `_flattening_norm` call of the plain norms takes key blocks, up
     # to the largest of them or a run of _RUN_ENTRIES entries; those of the
-    # fiber sups take the resonant entries
+    # fiber sups, through `_norm`, take the resonant entries
     sweeps = (((2, 1, 1), (4, 2, 2)),)
-    calls, resonant, flattening_norm = [], [False], counting._flattening_norm
-    count_fiber_sups = counting._count_fiber_sups
+    calls, resonant, flattening_norm, norm = [], [False], counting._flattening_norm, _norm
 
     def recorded(ri, ci, tol):
         calls.append((ri.size, resonant[0]))
         return flattening_norm(ri, ci, tol)
 
-    def fiber_sups(*args):
+    def resonant_norm(*args):
         resonant[0] = True
         try:
-            return count_fiber_sups(*args)
+            return norm(*args)
         finally:
             resonant[0] = False
 
     monkeypatch.setattr(counting, "_flattening_norm", recorded)
-    monkeypatch.setattr(counting, "_count_fiber_sups", fiber_sups)
+    monkeypatch.setattr(counting, "_norm", resonant_norm)
     verify_tensor_bounds(shell_sweeps=sweeps)
     monkeypatch.undo()
     largest, at_zero = 0, 0
@@ -604,7 +600,7 @@ def test_verify_tensor_bounds_refuses_an_empty_support(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a tensor or a norm was taken")
 
-    for name in ("build_tensor", "_count_plain_norms", "_count_fiber_sups"):
+    for name in ("build_tensor", "_count_norms"):
         monkeypatch.setattr(counting, name, forbidden)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -612,6 +608,32 @@ def test_verify_tensor_bounds_refuses_an_empty_support(monkeypatch):
             verify_tensor_bounds(shell_sweeps=(((0.5, 1, 1), (1, 2, 2)),))
     monkeypatch.undo()
     assert build_tensor((0.5, 1, 1)).nnz == 0
+
+
+def test_verify_tensor_bounds_tests_the_support_guard_first(monkeypatch):
+    # (16, 16, 16) spans 1.4e10 triples: refused before a pair is counted
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pairs were counted past the support guard")
+
+    for name in ("_pairings", "_count_norms", "build_tensor"):
+        monkeypatch.setattr(counting, name, forbidden)
+    with pytest.raises(ValueError, match="support guard"):
+        verify_tensor_bounds(shell_sweeps=(((16, 16, 16), (32, 32, 32)),))
+
+
+def test_verify_tensor_bounds_ranks_only_the_resonant_fiber(monkeypatch):
+    # slot ranks are taken once a triple, of its kappa = 0 entries alone
+    sweeps = (((2, 1, 1), (4, 2, 2)),)
+    sizes, slot_ranks = [], _slot_ranks
+
+    def recorded(tensor):
+        sizes.append(tensor.nnz)
+        return slot_ranks(tensor)
+
+    monkeypatch.setattr(counting, "_slot_ranks", recorded)
+    verify_tensor_bounds(shell_sweeps=sweeps)
+    monkeypatch.undo()
+    assert sizes == [int(np.count_nonzero(build_tensor(s).levels == 0)) for s in sweeps[0]]
 
 
 def test_build_tensor_peak_above_the_tensor():
@@ -868,7 +890,7 @@ def test_verify_tensor_bounds_smallest_sweep():
 
 
 def test_verify_tensor_bounds_rows_equal_per_triple_norms():
-    # the shared slot ranks give the public functions' values bit for bit
+    # the count pass gives the public functions' values bit for bit
     eps = 0.1
     sweeps = (((1, 1, 1), (2, 2, 2)), ((2, 1, 1), (4, 2, 2)))
     rep = verify_tensor_bounds(shell_sweeps=sweeps, eps=eps)
