@@ -483,23 +483,31 @@ def _count_input(case):
 @pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS) + list(_PLAIN_SHELLS)
                          + _BENCH_TRIPLES + ["split block"])
 def test_count_plain_norms_equal_plain_norms_bit_for_bit(case):
-    # both value families of the one count pass, exactly: the plain norms
-    # from pair counts over the shells, and the fiber sups from pair counts
-    # off resonance and the block path at kappa = 0, against the plain and
-    # the level-keyed flattenings of the built tensor
+    # from pair counts over the shells: the values of the plain flattenings
+    # of the built tensor, exactly
     points, t = _count_input(case)
     pairings = counting._pairings(*points)
     assert len(points[0]) * len(points[1]) * len(points[2]) - pairings[0].size == t.nnz
-    ranks, groups = _with_levels(t), dict.fromkeys(_FAM1 + _FAM2)
-    plain = {r: _norm(ranks, r) for r in groups}
-    sups = {r: _norm(ranks, r, per_level=True) for r in groups}
-    assert counting._count_norms(points, pairings, t) == (plain, sups)
+    ranks = _slot_ranks(t)
+    want = {r: _norm(ranks, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
+    assert counting._count_norms(points, pairings, t)[0] == want
+
+
+@pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS))
+def test_count_fiber_sups_equal_per_level_norms_bit_for_bit(case):
+    # off resonance from pair counts, at kappa = 0 by the block path: the
+    # values of the level-keyed flattenings of the built tensor, exactly
+    points, t = _count_input(case)
+    want = {r: _norm(_with_levels(t), r, per_level=True)
+            for r in dict.fromkeys(_FAM1 + _FAM2)}
+    sups = counting._count_norms(points, counting._pairings(*points), t)[1]
+    assert sups == want
     if case == "no resonance":
         assert t.nnz > 0 and not np.any(t.levels == 0)
     if case == "empty shell":
-        assert t.nnz == 0 and set(sups.values()) == {0.0}
+        assert t.nnz == 0 and set(want.values()) == {0.0}
     if case == "resonant sup":
-        sup = sups[("n", "n1")]
+        sup = want[("n", "n1")]
         assert sup == _norm(_slot_ranks(fiber(t, 0)), ("n", "n1"))
         assert sup == pytest.approx(1 + np.sqrt(3.0), rel=1e-12)
 
