@@ -62,3 +62,34 @@ def test_regularity_scan_structure_and_csv(tmp_path):
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 6
     assert {r["object"] for r in rows} == {"linear", "cubic", "integrated_cubic"}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_regularity_scan_equals_bundle_time_averages(gamma):
+    # the scan streams what build_bundle stores: from each member's data,
+    # and at gamma > 0 from the normals its rng draws next, the time
+    # averages of the three objects' squared H^s norms must agree
+    n_cuts, s, horizon, ensemble, seed = (2, 4), 0.4, 0.25, 3, 7
+    scan = regularity_scan(n_cuts=n_cuts, s=s, gamma=gamma, horizon=horizon,
+                           ensemble=ensemble, seed=seed)
+    for i, N in enumerate(n_cuts):
+        lat = ModeLattice(N)
+        n_steps = int(np.ceil(4.0 * horizon * N * N))
+        w_s = lat.brackets ** (2.0 * s)
+        norms = {"linear": [], "cubic": [], "integrated_cubic": []}
+        for m in range(ensemble):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, N, m]))
+            phi = sample_gff(lat, rng)
+            # unused at gamma = 0, where the noise scale is zero
+            z = rng.standard_normal((n_steps, lat.n_modes, 2))
+            inc = np.sqrt(horizon / n_steps / 2.0) * (z[..., 0] + 1j * z[..., 1])
+            bundle = build_bundle(phi, NoisePath(lat, horizon, inc, seed=0), gamma)
+            for name in norms:
+                traj = getattr(bundle, name).coeffs[1:]
+                norms[name].append(np.mean(np.sum(w_s * np.abs(traj) ** 2, axis=1)))
+        for name, vals in norms.items():
+            np.testing.assert_allclose(scan[name]["mean_sq"][i], np.mean(vals),
+                                       rtol=1e-12, atol=0.0, err_msg=name)
+            np.testing.assert_allclose(scan[name]["se"][i],
+                                       np.std(vals, ddof=1) / np.sqrt(ensemble),
+                                       rtol=1e-9, atol=0.0, err_msg=name)
