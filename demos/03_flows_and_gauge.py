@@ -18,16 +18,14 @@ phi = FourierField(lat, 0.05 * sample_gff(lat, rng).coeffs)
 path = NoisePath.generate(lat, 1.0, 1000, seed=4)
 
 # damped-driven flow: mass fluctuates around its stationary level
-traj = evolve(phi, path, DynamicsConfig(gamma=0.5, n_trunc=8,
-                                        renormalization="wick"))
+traj = evolve(phi, path, DynamicsConfig(gamma=0.5, renormalization="wick"))
 ms = (np.abs(traj.coeffs) ** 2).sum(axis=1)
 print(f"damped-driven run: mass {ms[0]:.4f} -> {ms[-1]:.4f} "
       f"(noise-sustained)")
 
-# dispersive flow: mass and the energy functional are conserved
-disp = evolve(phi, path, DynamicsConfig(gamma=0.0, n_trunc=8,
-                                        renormalization="dynamic",
-                                        noise_on=False))
+# dispersive flow (no damping, hence no noise): mass and the energy
+# functional are conserved
+disp = evolve(phi, path, DynamicsConfig(gamma=0.0, renormalization="dynamic"))
 u0 = disp.snapshot(0)
 m_drift = max(abs(mass(disp.snapshot(k)) - mass(u0))
               for k in range(0, disp.n_snapshots, 100))
@@ -38,9 +36,7 @@ print(f"dispersive run: mass drift {m_drift:.2e}, energy drift {h_drift:.2e}")
 # gauge equivalence: the constant-subtraction flow, multiplied by the
 # accumulated phase exp(2i integral (mass - sigma)), is the
 # mass-subtraction flow
-wck = evolve(phi, path, DynamicsConfig(gamma=0.0, n_trunc=8,
-                                       renormalization="wick",
-                                       noise_on=False))
-gau = apply_gauge(wck, 8, weight=2.0)
+wck = evolve(phi, path, DynamicsConfig(gamma=0.0, renormalization="wick"))
+gau = apply_gauge(wck)
 sup = np.sqrt((np.abs(gau.coeffs - disp.coeffs) ** 2).sum(axis=1)).max()
 print(f"gauge-intertwined distance sup_t ||.||_l2 = {sup:.2e}")

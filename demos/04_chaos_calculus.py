@@ -49,7 +49,7 @@ for n in (8, 16, 32):
         cg = CellGrid(lat, n_dyn=n, horizon=t_final, n_data=n)
         i3 = cubic_via_chaos(cg, dyn_n, dat_n, gamma, t_final)
         phi = FourierField(lat, a0.increments.sum(axis=0) / lat.brackets)
-        lin = linear_evolution(phi, dyn_n, gamma, lat.n_cut)
+        lin = linear_evolution(phi, dyn_n, gamma)
         u = lin.snapshot(lin.n_snapshots - 1)
         sq += np.sum(np.abs(i3.coeffs - nonpairing(u, u, u).coeffs) ** 2)
     gaps.append(sq / 100)

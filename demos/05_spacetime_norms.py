@@ -16,8 +16,7 @@ lat = ModeLattice(4)
 rng = np.random.default_rng(11)
 phi = FourierField(lat, 0.3 * sample_gff(lat, rng).coeffs)
 path = NoisePath.generate(lat, 2.0, 800, seed=12)
-traj = evolve(phi, path, DynamicsConfig(gamma=0.3, n_trunc=4,
-                                        renormalization="wick"))
+traj = evolve(phi, path, DynamicsConfig(gamma=0.3, renormalization="wick"))
 
 spec = twisted_transform(traj)
 print(f"twisted spectrum: {spec.values.shape[0]} modes x "

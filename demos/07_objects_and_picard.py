@@ -32,11 +32,10 @@ for k in ("linear", "cubic", "integrated_cubic"):
 # Picard solver for the remainder equation on a short horizon
 horizon, n_steps = 0.05, 4000
 path_s = NoisePath.generate(lat, horizon, n_steps, seed=23)
-traj = evolve(phi, path_s, DynamicsConfig(gamma=0.5, n_trunc=4,
-                                          renormalization="dynamic"))
-rem = extract_remainder(traj, phi, path_s, n_trunc=4)
-base = linear_evolution(phi, path_s, 0.5, 4)
-pic = picard_remainder(base, n_trunc=4, gamma=0.5)
+traj = evolve(phi, path_s, DynamicsConfig(gamma=0.5, renormalization="dynamic"))
+rem = extract_remainder(traj, phi, path_s)
+base = linear_evolution(phi, path_s, 0.5)
+pic = picard_remainder(base, gamma=0.5)
 gap = np.sqrt((np.abs(pic.trajectory.coeffs - rem.coeffs) ** 2)
               .sum(axis=1)).max()
 print(f"picard vs direct remainder: sup-t gap {gap:.2e}, "

@@ -20,9 +20,8 @@ from .gibbs import (mode_variance_sum, sample_gff, renormalized_potential,
                     wick_potential, wick_action, sample_gibbs_pcn_chains,
                     check_exponential_moments)
 from .noise import NoisePath, lockstep_increments
-from .flows import (stochastic_convolution, linear_evolution,
-                    DynamicsConfig, Trajectory, evolve, lockstep,
-                    linear_distance, MassBlowUpError,
+from .flows import (linear_evolution, DynamicsConfig, Trajectory, evolve,
+                    lockstep, linear_distance, MassBlowUpError,
                     extract_remainder, gauge_phase, apply_gauge, duhamel,
                     picard_remainder, PicardResult)
 from .chaos import (hermite, CellGrid, ChaosKernel,

@@ -126,7 +126,8 @@ _RANGES = {  # field -> (holds, what a command needs of it)
 class _Config:
     """Base of the command configs: checks `_RANGES` on the fields it has.
     Physics ranges are checked where they are used: the cutoff by
-    ModeLattice, the pCN step by the sampler, damping and drift by
+    ModeLattice, the pCN step by the sampler, the damping by the check
+    DynamicsConfig and regularity_scan share, and the drift by
     DynamicsConfig."""
 
     def __post_init__(self):
@@ -195,8 +196,7 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     sigma = mode_variance_sum(n_cut)
 
     # checked before the pCN sweep, so a bad damping costs no sampling
-    dyn = DynamicsConfig(gamma=conf.gamma, n_trunc=n_cut, renormalization="wick",
-                         nonlinearity_on=True, noise_on=True)
+    dyn = DynamicsConfig(gamma=conf.gamma, renormalization="wick")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     # one independent chain per ensemble member: the paired z-test below
@@ -292,7 +292,7 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
     gammas, s_metric, amplitude = conf.gammas, conf.s_metric, conf.amplitude
     # rows (gamma, member) of one lockstep stack: row 0 is the undamped
     # reference, and each member's data and path are shared by its rows
-    dyn = DynamicsConfig(gamma=np.array((0.0,) + gammas)[:, None], n_trunc=n_cut,
+    dyn = DynamicsConfig(gamma=np.array((0.0,) + gammas)[:, None],
                          renormalization=conf.renormalization)
 
     lattice = ModeLattice(n_cut)
@@ -494,12 +494,9 @@ def _suite_picard(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     phi = sample_gff(lattice, rng)
     path = NoisePath.generate(lattice, horizon, n_steps, seed=seed + 1)
-    dyn = DynamicsConfig(gamma=gamma, n_trunc=n_cut,
-                         renormalization="dynamic")
-    traj = evolve(phi, path, dyn)
-    rem = extract_remainder(traj, phi, path, n_trunc=n_cut)
-    base = linear_evolution(phi, path, gamma, n_cut)
-    pic = picard_remainder(base, n_trunc=n_cut, gamma=gamma)
+    traj = evolve(phi, path, DynamicsConfig(gamma=gamma, renormalization="dynamic"))
+    rem = extract_remainder(traj, phi, path)
+    pic = picard_remainder(linear_evolution(phi, path, gamma), gamma=gamma)
     diff = np.sqrt((np.abs(pic.trajectory.coeffs - rem.coeffs) ** 2)
                    .sum(axis=1)).max()
     factor = max(pic.contraction_ratios) if pic.contraction_ratios else 0.0

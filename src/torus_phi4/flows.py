@@ -3,24 +3,27 @@ remainder integral equation.
 
 Conventions.  The linear semigroup acts mode-wise as
 exp(-(gamma*t + i*t') <n>^2) for t >= 0; with t' = t this is the
-dissipative-dispersive propagator exp((gamma+i) t (Lap - 1)).  The
-stochastic convolution solves the linear equation driven by
-sqrt(2*gamma) times white noise truncated to the lattice, with the
-exact mode-wise Ornstein-Uhlenbeck recursion
+dissipative-dispersive propagator exp((gamma+i) t (Lap - 1)).  Fields
+live on the retained modes of their lattice, the only truncation.  The
+linear equation driven by sqrt(2*gamma) times white noise has the exact
+mode-wise Ornstein-Uhlenbeck recursion
 
     Psi(t_{k+1}) = exp(-(gamma+i) h <n>^2) Psi(t_k) + eta_k,
     E|eta_k|^2 = (1 - exp(-2 gamma h <n>^2)) / <n>^2,
 
 where eta_k is a deterministic per-mode rescaling of the driving-path
 increment, so flows at different gamma driven by the same path are
-coupled realization by realization.
+coupled realization by realization.  It and the exponential-trapezoid
+recursion of the retarded integral have one copy each, `_ou_steps` and
+`_duhamel_steps`: `linear_evolution` and `duhamel` store their states,
+and the regularity scan streams them.
 
 The time integrator is Strang splitting with the exact linear/noise
 step; the nonlinear substep is an exact pointwise phase rotation when
-gamma = 0 (modulus preserving, hence mass conserving before projection)
-and an explicit Euler update otherwise.  `lockstep` advances a stack of
-states, one damping per row, in one batched step; `evolve` is its
-one-row case.
+gamma = 0 (modulus preserving, hence mass conserving before the
+projection onto the retained modes) and an explicit Euler update
+otherwise.  `lockstep` advances a stack of states, one damping per row,
+in one batched step; `evolve` is its one-row case.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .nonlinearity import mass, nonpairing_batch, renormalized_cubic, wick_cubic
 from .spectral import FourierField, ModeLattice
 
 __all__ = [
-    "stochastic_convolution",
     "linear_evolution",
     "DynamicsConfig",
     "Trajectory",
@@ -74,9 +76,15 @@ class MassBlowUpError(RuntimeError):
         self.member = member
 
 
-def _ou_factors(
-    lattice: ModeLattice, gamma: float | np.ndarray, h: float, n_trunc: float | None
-):
+def _check_damping(gamma: float | np.ndarray) -> None:
+    """Raise ValueError unless every damping in `gamma` is finite and >= 0."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    bad = ~(np.isfinite(gamma) & (gamma >= 0.0))
+    if bad.any():
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma[bad].tolist()}")
+
+
+def _ou_factors(lattice: ModeLattice, gamma: float | np.ndarray, h: float):
     """Per-mode decay factor and increment rescaling for one step of size h.
 
     `gamma` is a float or an array of shape (..., 1) for per-row dampings.
@@ -85,30 +93,29 @@ def _ou_factors(
     decay = np.exp(-(gamma + 1j) * h * q)
     var = -np.expm1(-2.0 * gamma * h * q) / q  # (1 - e^{-2 gamma h q})/q, 0 at gamma 0
     scale = np.sqrt(var / h)  # driving increments have E|DB|^2 = h
-    if n_trunc is not None:
-        scale = np.where(lattice.brackets <= n_trunc + 1e-12, scale, 0.0)
     return decay, scale
 
 
-def stochastic_convolution(
-    path: NoisePath, gamma: float, n_trunc: float | None = None
-) -> "Trajectory":
-    """Exact sampling of the stochastic convolution along the path grid."""
-    return linear_evolution(FourierField(path.lattice), path, gamma, n_trunc)
+def _ou_steps(
+    lattice: ModeLattice, gamma: float, h: float, c: np.ndarray,
+    increments: Iterable
+) -> Iterator[np.ndarray]:
+    """The Ornstein-Uhlenbeck recursion from data c: yields the state after
+    each step of size h, each driven by one item of `increments`."""
+    decay, scale = _ou_factors(lattice, gamma, h)
+    for inc in increments:
+        c = decay * c + scale * inc
+        yield c
 
 
-def linear_evolution(
-    phi: FourierField, path: NoisePath, gamma: float, n_trunc: float | None = None
-) -> "Trajectory":
-    """Propagated data plus stochastic convolution (the linear ansatz)."""
+def linear_evolution(phi: FourierField, path: NoisePath, gamma: float) -> "Trajectory":
+    """Propagated data plus stochastic convolution (the linear ansatz); from
+    zero data, the stochastic convolution alone."""
     lat = path.lattice
-    decay, scale = _ou_factors(lat, gamma, path.h, n_trunc)
     out = np.empty((path.n_steps + 1, lat.n_modes), dtype=np.complex128)
     out[0] = phi.coeffs
-    if n_trunc is not None:
-        out[0] = np.where(lat.brackets <= n_trunc + 1e-12, out[0], 0.0)
-    for k in range(path.n_steps):
-        out[k + 1] = decay * out[k] + scale * path.increments[k]
+    for k, c in enumerate(_ou_steps(lat, gamma, path.h, out[0], path.increments)):
+        out[k + 1] = c
     return Trajectory(lat, path.times, out, gamma)
 
 
@@ -119,28 +126,19 @@ class DynamicsConfig:
     `gamma` is a float, or for `lockstep` an array of per-row dampings
     broadcastable to the stack's leading shape; each must be finite and
     >= 0, and `renormalization` 'wick' or 'dynamic' (ValueError otherwise).
+    The Wick drift subtracts 2*sigma, with sigma = mode_variance_sum of the
+    lattice's cutoff.
     """
 
     gamma: float | np.ndarray
-    n_trunc: float
     renormalization: str = "dynamic"  # 'dynamic': subtract 2*mass(u); 'wick': 2*sigma
-    sigma: float | None = None
     nonlinearity_on: bool = True
-    noise_on: bool = True
 
     def __post_init__(self):
         if self.renormalization not in ("wick", "dynamic"):
             raise ValueError("renormalization must be 'wick' or 'dynamic', "
                              f"got {self.renormalization!r}")
-        gamma = np.asarray(self.gamma, dtype=np.float64)
-        bad = ~(np.isfinite(gamma) & (gamma >= 0.0))
-        if bad.any():
-            raise ValueError(f"gamma must be finite and >= 0, got {gamma[bad].tolist()}")
-
-    def resolved_sigma(self) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        return mode_variance_sum(self.n_trunc)
+        _check_damping(self.gamma)
 
 
 @dataclass
@@ -164,9 +162,9 @@ class Trajectory:
 
 def _nonlinear_substep(
     u: FourierField, rot: np.ndarray, h_damped: np.ndarray, sigma: float | None,
-    h: float, trunc_mask: np.ndarray
+    h: float
 ) -> np.ndarray:
-    """Nonlinear substep of size h on the stack u, then sharp truncation.
+    """Nonlinear substep of size h on the stack u.
 
     Rows where `rot` holds (gamma = 0) take the exact flow of
     du/dt = -i (|u|^2 - 2m) u, a pointwise phase rotation (m is constant
@@ -194,7 +192,6 @@ def _nonlinear_substep(
         v = FourierField(lat, u.coeffs[~rot])
         drift = wick_cubic(v, sigma) if sigma is not None else renormalized_cubic(v)
         out[~rot] = v.coeffs - h_damped * drift.coeffs
-    out *= trunc_mask
     return out
 
 
@@ -206,7 +203,7 @@ def lockstep(
     `phi.coeffs` has shape (..., n_modes) and `cfg.gamma` broadcasts
     against its leading shape; the stack has their common shape.  Each item
     of `increments` drives one step and broadcasts against the stack, so
-    rows can share a path.  Yields the truncated data, then the state after
+    rows can share a path.  Yields a copy of the data, then the state after
     each step; the arrays are not modified later.  A row equals the
     one-row `evolve` at its damping and path bit for bit.
     """
@@ -215,22 +212,18 @@ def lockstep(
     shape = np.broadcast_shapes(phi.coeffs.shape[:-1], gamma.shape)
     g = gamma[..., None]
     decay_half = np.exp(-(g + 1j) * (h / 2.0) * lat.brackets**2)
-    _, scale = _ou_factors(lat, g, h, cfg.n_trunc)
-    if not cfg.noise_on:
-        scale = np.zeros_like(scale)
-    trunc_mask = (lat.brackets <= cfg.n_trunc + 1e-12).astype(np.float64)
+    _, scale = _ou_factors(lat, g, h)
     rows = np.broadcast_to(gamma, shape)
     rot = rows == 0.0
     h_damped = h * (rows[~rot][:, None] + 1j)
-    sigma = cfg.resolved_sigma() if cfg.renormalization == "wick" else None
+    sigma = mode_variance_sum(lat.n_cut) if cfg.renormalization == "wick" else None
 
-    c = np.broadcast_to(phi.coeffs * trunc_mask, shape + (lat.n_modes,))
+    c = np.broadcast_to(phi.coeffs.copy(), shape + (lat.n_modes,))
     yield c
     for k, inc in enumerate(increments):
         c = c * decay_half
         if cfg.nonlinearity_on:
-            c = _nonlinear_substep(FourierField(lat, c), rot, h_damped, sigma, h,
-                                   trunc_mask)
+            c = _nonlinear_substep(FourierField(lat, c), rot, h_damped, sigma, h)
         c = c * decay_half + scale * inc
         m = np.sum(np.abs(c) ** 2, axis=-1).ravel()
         if np.any(m > MASS_BLOWUP_LIMIT):
@@ -240,13 +233,12 @@ def lockstep(
 
 
 def evolve(phi: FourierField, path: NoisePath, cfg: DynamicsConfig) -> Trajectory:
-    """Integrate the truncated renormalized flow along the driving path.
+    """Integrate the renormalized flow on the lattice along the driving path.
 
     One step of size h: exact linear half step, nonlinear substep of
-    size h (then sharp truncation), exact linear half step, then the
-    Ornstein-Uhlenbeck noise increment.  With the nonlinearity switched
-    off this reproduces linear_evolution to rounding.
-    The one-row case of `lockstep`.
+    size h, exact linear half step, then the Ornstein-Uhlenbeck noise
+    increment.  With the nonlinearity switched off this reproduces
+    linear_evolution to rounding.  The one-row case of `lockstep`.
     """
     lat = path.lattice
     out = np.empty((path.n_steps + 1, lat.n_modes), dtype=np.complex128)
@@ -273,23 +265,21 @@ def linear_distance(
     return float(np.sqrt(np.sum(q ** (s - 1.0) * var)))
 
 
-def extract_remainder(
-    traj: Trajectory, phi: FourierField, path: NoisePath, n_trunc: float | None = None
-) -> Trajectory:
+def extract_remainder(traj: Trajectory, phi: FourierField, path: NoisePath) -> Trajectory:
     """Subtract the linear ansatz (propagated data + convolution) from a run."""
-    lin = linear_evolution(phi, path, traj.gamma, n_trunc)
+    lin = linear_evolution(phi, path, traj.gamma)
     return Trajectory(traj.lattice, traj.times, traj.coeffs - lin.coeffs,
                       traj.gamma)
 
 
-def gauge_phase(traj: Trajectory, n_trunc: float, sigma: float | None = None) -> np.ndarray:
-    """Accumulated phase V(t) = integral of (mass(u(t')) - sigma) dt'.
+def gauge_phase(traj: Trajectory) -> np.ndarray:
+    """Accumulated phase V(t) = integral of (mass(u(t')) - sigma) dt', with
+    sigma = mode_variance_sum of the lattice's cutoff.
 
     Trapezoid quadrature on the trajectory grid.  Along the Wick flow at
     gamma = 0 the mass is conserved, so V is exactly linear in t.
     """
-    if sigma is None:
-        sigma = mode_variance_sum(n_trunc)
+    sigma = mode_variance_sum(traj.lattice.n_cut)
     m = np.sum(np.abs(traj.coeffs) ** 2, axis=1) - sigma
     h = traj.h
     v = np.zeros(traj.n_snapshots)
@@ -297,18 +287,15 @@ def gauge_phase(traj: Trajectory, n_trunc: float, sigma: float | None = None) ->
     return v
 
 
-def apply_gauge(
-    traj: Trajectory, n_trunc: float, sigma: float | None = None, weight: float = 2.0
-) -> Trajectory:
-    """Multiply each snapshot by exp(i * weight * V(t)).
+def apply_gauge(traj: Trajectory) -> Trajectory:
+    """Multiply each snapshot by exp(2i V(t)).
 
-    With weight 2 this intertwines the gamma = 0 Wick flow with the
-    dynamically renormalized flow: the Wick drift subtracts 2*sigma
-    where the dynamic one subtracts 2*mass, and the mismatch
-    2*(mass - sigma) is exactly the phase rate removed here.
+    This intertwines the gamma = 0 Wick flow with the dynamically
+    renormalized flow: the Wick drift subtracts 2*sigma where the dynamic
+    one subtracts 2*mass, and the mismatch 2*(mass - sigma) is exactly the
+    phase rate removed here.
     """
-    v = gauge_phase(traj, n_trunc, sigma)
-    factor = np.exp(1j * weight * v)[:, None]
+    factor = np.exp(2j * gauge_phase(traj))[:, None]
     return Trajectory(traj.lattice, traj.times, traj.coeffs * factor, traj.gamma)
 
 
@@ -335,6 +322,23 @@ def _duhamel_weights(lattice: ModeLattice, gamma: float, h: float):
     return h * (phi1 - phi2), h * phi2
 
 
+def _duhamel_steps(
+    lattice: ModeLattice, gamma: float, h: float, forcing: Iterable
+) -> Iterator[np.ndarray]:
+    """The exponential-trapezoid recursion of the retarded integral, from
+    I(t_0) = 0: the items of `forcing` are F(t_0), F(t_1), ..., and each one
+    after the first yields I at its time."""
+    decay = np.exp(-(gamma + 1j) * h * lattice.brackets**2)
+    w_left, w_right = _duhamel_weights(lattice, gamma, h)
+    forcing = iter(forcing)
+    prev = next(forcing)
+    out = np.zeros_like(prev)
+    for f in forcing:
+        out = decay * out + w_left * prev + w_right * f
+        prev = f
+        yield out
+
+
 def duhamel(forcing: Trajectory, gamma: float | None = None) -> Trajectory:
     """Retarded integral I(t) = int_0^t exp(-(gamma+i)(t-s)<n>^2) F(s) ds.
 
@@ -344,14 +348,11 @@ def duhamel(forcing: Trajectory, gamma: float | None = None) -> Trajectory:
     """
     if gamma is None:
         gamma = forcing.gamma
-    lat = forcing.lattice
-    h = forcing.h
-    decay = np.exp(-(gamma + 1j) * h * lat.brackets**2)
-    w_left, w_right = _duhamel_weights(lat, gamma, h)
     out = np.zeros_like(forcing.coeffs)
-    for k in range(forcing.n_snapshots - 1):
-        out[k + 1] = decay * out[k] + w_left * forcing.coeffs[k] + w_right * forcing.coeffs[k + 1]
-    return Trajectory(lat, forcing.times, out, gamma)
+    for k, c in enumerate(_duhamel_steps(forcing.lattice, gamma, forcing.h,
+                                         forcing.coeffs)):
+        out[k + 1] = c
+    return Trajectory(forcing.lattice, forcing.times, out, gamma)
 
 
 @dataclass
@@ -364,7 +365,6 @@ class PicardResult:
 
 def picard_remainder(
     ansatz: Trajectory,
-    n_trunc: float,
     gamma: float | None = None,
     max_iter: int = 12,
     tol: float = 1e-10,
@@ -374,7 +374,7 @@ def picard_remainder(
     With b the linear ansatz and T/R the pairing-free and resonant
     trilinear forms, the fixed-point map is
 
-      v -> -(gamma+i) P_trunc I[ T(v,v,v) + T(b,b,b) + 2 T(b,v,v)
+      v -> -(gamma+i) I[ T(v,v,v) + T(b,b,b) + 2 T(b,v,v)
              + T(v,b,v) + 2 T(v,b,b) + T(b,v,b) - R(b+v, b+v, b+v) ],
 
     where I is the retarded linear integral.  Iteration starts at v = 0;
@@ -383,10 +383,7 @@ def picard_remainder(
     if gamma is None:
         gamma = ansatz.gamma
     lat = ansatz.lattice
-    K = ansatz.n_snapshots
-    mask = (lat.brackets <= n_trunc + 1e-12).astype(np.float64)
-
-    b = ansatz.coeffs * mask
+    b = ansatz.coeffs
     f_bbb = nonpairing_batch(lat, b, b, b)
 
     v = np.zeros_like(ansatz.coeffs)
@@ -406,7 +403,7 @@ def picard_remainder(
         integrated = duhamel(
             Trajectory(lat, ansatz.times, forcing, gamma), gamma
         ).coeffs
-        v_new = -(gamma + 1j) * integrated * mask
+        v_new = -(gamma + 1j) * integrated
         diff = float(np.sqrt(np.mean(np.abs(v_new - v) ** 2)))
         residuals.append(diff)
         if prev_diff is not None and prev_diff > 0:

@@ -50,10 +50,16 @@ def lockstep_increments(
     fills its own contiguous slice; a generator fills its normals in order,
     so consecutive blocks continue a single draw of all n_steps.
     """
-    block = max(1, BLOCK_ENTRIES // (len(seeds) * lattice.n_modes))
-    streams = [_normals(s) for s in seeds]
+    return _stream_increments([_normals(s) for s in seeds], lattice, horizon, n_steps)
+
+
+def _stream_increments(
+    streams: list, lattice: ModeLattice, horizon: float, n_steps: int
+) -> Iterator[np.ndarray]:
+    """`lockstep_increments` for paths drawn from the generators `streams`."""
+    block = max(1, BLOCK_ENTRIES // (len(streams) * lattice.n_modes))
     for start in range(0, n_steps, block):
-        z = np.empty((len(seeds), min(block, n_steps - start), lattice.n_modes, 2))
+        z = np.empty((len(streams), min(block, n_steps - start), lattice.n_modes, 2))
         for rng, zi in zip(streams, z):
             rng.standard_normal(out=zi)
         yield from _increments(z, horizon, n_steps).swapaxes(0, 1)

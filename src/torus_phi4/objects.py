@@ -12,23 +12,25 @@ growth slope in log N.  The linear ansatz grows like N^{2s} for s > 0;
 the smoothed cubic stays bounded at s below one half (multilinear
 smoothing), which is the quantitative content of the scan.
 
-Scans stream mode-wise recursions instead of storing trajectories, so
-the N = 64 column fits in memory; the time step resolves the fastest
-retained oscillation (h ~ 1/N^2), which the retarded integral needs in
-order to see the cancellation it is claiming.
+Scans stream the Ornstein-Uhlenbeck and Duhamel recursions of `flows`
+step by step instead of storing trajectories, so the N = 64 column fits in
+memory; the time step resolves the fastest retained oscillation
+(h ~ 1/N^2), which the retarded integral needs in order to see the
+cancellation it is claiming.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import (Trajectory, _duhamel_weights, _ou_factors, duhamel,
+from .flows import (Trajectory, _check_damping, _duhamel_steps, _ou_steps, duhamel,
                     linear_evolution)
 from .gibbs import sample_gff
-from .noise import NoisePath
+from .noise import NoisePath, _stream_increments
 from .nonlinearity import nonpairing_batch
 from .spectral import FourierField, ModeLattice
 
@@ -43,22 +45,17 @@ __all__ = [
 @dataclass
 class ObjectBundle:
     gamma: float
-    n_trunc: float
     linear: Trajectory
     cubic: Trajectory
     integrated_cubic: Trajectory
 
 
-def build_bundle(
-    phi: FourierField, path: NoisePath, gamma: float, n_trunc: float | None = None
-) -> ObjectBundle:
+def build_bundle(phi: FourierField, path: NoisePath, gamma: float) -> ObjectBundle:
     """Assemble the linear ansatz, its cubic, and the integrated cubic."""
-    if n_trunc is None:
-        n_trunc = path.lattice.n_cut
-    lin = linear_evolution(phi, path, gamma, n_trunc)
+    lin = linear_evolution(phi, path, gamma)
     cub_coeffs = nonpairing_batch(path.lattice, lin.coeffs, lin.coeffs, lin.coeffs)
     cub = Trajectory(path.lattice, path.times, cub_coeffs, gamma)
-    return ObjectBundle(gamma, n_trunc, lin, cub, duhamel(cub, gamma))
+    return ObjectBundle(gamma, lin, cub, duhamel(cub, gamma))
 
 
 def _member_norms(
@@ -71,30 +68,30 @@ def _member_norms(
 ) -> dict:
     """Time-averaged squared H^s norms of the three objects for one member.
 
-    Streams the recursions step by step; only O(n_modes) state is kept.
+    The data are the rng's GFF draw and, at gamma > 0, the path its next
+    normals make.  The recursions are streamed step by step; only
+    O(n_modes) state is kept.
     """
     h = horizon / n_steps
     w_s = lattice.brackets ** (2.0 * s)
-    decay, scale = _ou_factors(lattice, gamma, h, None)
-    w_left, w_right = _duhamel_weights(lattice, gamma, h)
+    acc = {"linear": 0.0, "cubic": 0.0, "integrated_cubic": 0.0}
+
+    def tally(name, states):
+        for c in states:
+            acc[name] += float(np.sum(w_s * np.abs(c) ** 2))
+            yield c
 
     lin = sample_gff(lattice, rng).coeffs
-    cub_prev = nonpairing_batch(lattice, lin, lin, lin)
-    icub = np.zeros_like(lin)
-    acc = {"linear": 0.0, "cubic": 0.0, "integrated_cubic": 0.0}
-    for k in range(n_steps):
-        if gamma > 0.0:
-            z = rng.standard_normal((lattice.n_modes, 2))
-            inc = np.sqrt(h / 2.0) * (z[:, 0] + 1j * z[:, 1])
-        else:
-            inc = 0.0
-        lin = decay * lin + scale * inc
-        cub = nonpairing_batch(lattice, lin, lin, lin)
-        icub = decay * icub + w_left * cub_prev + w_right * cub
-        cub_prev = cub
-        acc["linear"] += float(np.sum(w_s * np.abs(lin) ** 2))
-        acc["cubic"] += float(np.sum(w_s * np.abs(cub) ** 2))
-        acc["integrated_cubic"] += float(np.sum(w_s * np.abs(icub) ** 2))
+    if gamma > 0.0:
+        incs = (inc[0] for inc in _stream_increments([rng], lattice, horizon, n_steps))
+    else:
+        incs = itertools.repeat(0.0, n_steps)  # the noise scale is zero
+    lins = tally("linear", _ou_steps(lattice, gamma, h, lin, incs))
+    cubs = tally("cubic", (nonpairing_batch(lattice, u, u, u) for u in lins))
+    cub = nonpairing_batch(lattice, lin, lin, lin)
+    icubs = _duhamel_steps(lattice, gamma, h, itertools.chain([cub], cubs))
+    for _ in tally("integrated_cubic", icubs):
+        pass
     return {k: v / n_steps for k, v in acc.items()}
 
 
@@ -114,6 +111,7 @@ def regularity_scan(
     per-object means, standard errors, and least-squares slopes of
     log(mean) against log(N).
     """
+    _check_damping(gamma)
     results = {name: np.zeros((len(n_cuts), ensemble)) for name in
                ("linear", "cubic", "integrated_cubic")}
     for i, N in enumerate(n_cuts):

@@ -35,7 +35,6 @@ from torus_phi4 import (
     nonpairing,
     renormalized_cubic,
     sample_gff,
-    stochastic_convolution,
     symmetrize,
     verify_tensor_bounds,
 )
@@ -103,9 +102,7 @@ def test_criterion_02_conservation():
     # in the moderate-amplitude regime used here
     phi = FourierField(lat, 0.04 * sample_gff(lat, np.random.default_rng(0)).coeffs)
     path = NoisePath.generate(lat, 1.0, 1000, seed=1)
-    traj = evolve(phi, path, DynamicsConfig(gamma=0.0, n_trunc=8,
-                                            renormalization="dynamic",
-                                            noise_on=False))
+    traj = evolve(phi, path, DynamicsConfig(gamma=0.0, renormalization="dynamic"))
     u0 = traj.snapshot(0)
     m0, h0 = mass(u0), conserved_energy(u0)
     mass_drift = max(abs(mass(traj.snapshot(k)) - m0)
@@ -164,7 +161,8 @@ def test_criterion_05_ou_variance():
                    .generate_state(1)[0] % 2**31)
         for m in range(n_paths):
             path = NoisePath.generate(lat, t_final, n_steps, seed=base + m)
-            acc += np.abs(stochastic_convolution(path, gamma).coeffs[-1]) ** 2
+            acc += np.abs(linear_evolution(FourierField(lat), path, gamma)
+                          .coeffs[-1]) ** 2
         est = acc / n_paths
         true = (1.0 - np.exp(-2.0 * gamma * t_final * q)) / q
         z = (est - true) / (true / np.sqrt(n_paths))
@@ -182,13 +180,9 @@ def test_criterion_06_gauge_equivalence():
     lat = ModeLattice(8)
     phi = FourierField(lat, 0.04 * sample_gff(lat, np.random.default_rng(0)).coeffs)
     path = NoisePath.generate(lat, 1.0, 1000, seed=1)
-    pde = evolve(phi, path, DynamicsConfig(gamma=0.0, n_trunc=8,
-                                           renormalization="dynamic",
-                                           noise_on=False))
-    wck = evolve(phi, path, DynamicsConfig(gamma=0.0, n_trunc=8,
-                                           renormalization="wick",
-                                           noise_on=False))
-    gau = apply_gauge(wck, 8, weight=2.0)
+    pde = evolve(phi, path, DynamicsConfig(gamma=0.0, renormalization="dynamic"))
+    wck = evolve(phi, path, DynamicsConfig(gamma=0.0, renormalization="wick"))
+    gau = apply_gauge(wck)
     sup = float(np.sqrt((np.abs(gau.coeffs - pde.coeffs) ** 2)
                         .sum(axis=1)).max())
     ok = bool(sup <= 1e-5)
@@ -354,7 +348,7 @@ def test_criterion_12_chaos_suite():
             dat = dat0 if n == levels[0] else dat0.refined_to(n)
             g = CellGrid(lat, n_dyn=n, horizon=t_final, n_data=n)
             i3 = cubic_via_chaos(g, dyn, dat, gamma, t_final)
-            lin = linear_evolution(phi, dyn, gamma, lat.n_cut)
+            lin = linear_evolution(phi, dyn, gamma)
             u = lin.snapshot(lin.n_snapshots - 1)
             direct = nonpairing(u, u, u)
             msq[n] += float(np.sum(np.abs(i3.coeffs - direct.coeffs) ** 2))

@@ -188,7 +188,7 @@ def _bad(command, line):
 ] + [
     _bad("smoothing", line) for line in (
         "n_cuts = [8]", "n_cuts = [4, 4]", "steps_per_unit_sq = 0",
-        "n_cuts = [8.0, 16.0]")
+        "n_cuts = [8.0, 16.0]", "gamma = -0.5")
 ])
 def test_cli_exit_two_on_bad_invariance_config(tmp_path, capsys, command, bad):
     # named for its first rows, it covers every command's config: an
@@ -237,11 +237,9 @@ def _inviscid_oracle(cfg, seed):
         path = NoisePath.generate(lattice, cfg["horizon"], cfg["n_steps"], path_seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 8, m]))
         phi = FourierField(lattice, cfg["amplitude"] * sample_gff(lattice, rng).coeffs)
-        ref = evolve(phi, path, DynamicsConfig(0.0, cfg["n_cut"],
-                                               cfg["renormalization"]))
+        ref = evolve(phi, path, DynamicsConfig(0.0, cfg["renormalization"]))
         for j, g in enumerate(gammas):
-            traj = evolve(phi, path, DynamicsConfig(float(g), cfg["n_cut"],
-                                                    cfg["renormalization"]))
+            traj = evolve(phi, path, DynamicsConfig(float(g), cfg["renormalization"]))
             diff2 = (np.abs(traj.coeffs - ref.coeffs) ** 2 * wt[None, :]).sum(axis=1)
             dists[m, j] = np.sqrt(diff2.max())
     return dists.mean(axis=0), dists.std(axis=0, ddof=1) / np.sqrt(ens)
@@ -268,7 +266,7 @@ def _invariance_oracle(cfg, seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     pcn = sample_gibbs_pcn_chains(lattice, "wick", ens, rng, beta=cfg["beta"],
                                   n_steps=cfg["chain_steps"])
-    dyn = DynamicsConfig(cfg["gamma"], n_cut, "wick")
+    dyn = DynamicsConfig(cfg["gamma"], "wick")
     checkpoints = (0, n_steps // 2, n_steps)
     obs = np.empty((3, ens, lattice.n_modes + 2))
     for m in range(ens):

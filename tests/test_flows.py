@@ -24,7 +24,6 @@ from torus_phi4 import (
     picard_remainder,
     sample_gff,
     sobolev_norm,
-    stochastic_convolution,
 )
 from torus_phi4.flows import MASS_BLOWUP_LIMIT
 
@@ -39,7 +38,7 @@ def test_stochastic_convolution_variance():
     acc = np.zeros(lat.n_modes)
     for m in range(n_mc):
         path = NoisePath.generate(lat, horizon, n_steps, seed=1000 + m)
-        acc += np.abs(stochastic_convolution(path, gamma).coeffs[-1]) ** 2
+        acc += np.abs(linear_evolution(FourierField(lat), path, gamma).coeffs[-1]) ** 2
     acc /= n_mc
     q = lat.brackets**2
     target = -np.expm1(-2 * gamma * horizon * q) / q
@@ -61,9 +60,9 @@ def test_evolve_without_nonlinearity_matches_linear():
     lat = ModeLattice(2)
     phi = _gff(2, 3)
     path = NoisePath.generate(lat, 0.5, 64, seed=8)
-    cfg = DynamicsConfig(gamma=0.6, n_trunc=2, nonlinearity_on=False)
+    cfg = DynamicsConfig(gamma=0.6, nonlinearity_on=False)
     traj = evolve(phi, path, cfg)
-    lin = linear_evolution(phi, path, 0.6, 2)
+    lin = linear_evolution(phi, path, 0.6)
     np.testing.assert_allclose(traj.coeffs, lin.coeffs, atol=1e-12)
 
 
@@ -73,7 +72,7 @@ def test_evolve_conserves_mass_at_gamma_zero():
     lat = ModeLattice(2)
     phi = _gff(2, 4)
     phi = FourierField(lat, 0.05 * phi.coeffs)
-    cfg = DynamicsConfig(gamma=0.0, n_trunc=2, noise_on=False)
+    cfg = DynamicsConfig(gamma=0.0)
     path = NoisePath.generate(lat, 0.5, 500, seed=0)
     traj = evolve(phi, path, cfg)
     m = np.sum(np.abs(traj.coeffs) ** 2, axis=1)
@@ -85,7 +84,7 @@ def test_splitting_converges_at_least_first_order():
     # truncates, so the scheme is first order for the truncated system
     lat = ModeLattice(2)
     phi = _gff(2, 6)
-    cfg = DynamicsConfig(gamma=0.0, n_trunc=2, noise_on=False)
+    cfg = DynamicsConfig(gamma=0.0)
 
     def final(n_steps):
         path = NoisePath.generate(lat, 0.5, n_steps, seed=0)
@@ -103,9 +102,9 @@ def test_gauge_intertwines_wick_and_dynamic_flows():
     lat = ModeLattice(2)
     phi = _gff(2, 7)
     path = NoisePath.generate(lat, 0.25, 4000, seed=0)
-    dyn = evolve(phi, path, DynamicsConfig(0.0, 2, "dynamic", noise_on=False))
-    wck = evolve(phi, path, DynamicsConfig(0.0, 2, "wick", noise_on=False))
-    gauged = apply_gauge(wck, 2, weight=2.0)
+    dyn = evolve(phi, path, DynamicsConfig(0.0, "dynamic"))
+    wck = evolve(phi, path, DynamicsConfig(0.0, "wick"))
+    gauged = apply_gauge(wck)
     err = np.max(np.abs(gauged.coeffs - dyn.coeffs))
     assert err < 1e-6
 
@@ -115,8 +114,8 @@ def test_gauge_phase_linear_along_wick_flow():
     phi = _gff(2, 8)
     phi = FourierField(lat, 0.05 * phi.coeffs)
     path = NoisePath.generate(lat, 0.5, 1000, seed=0)
-    wck = evolve(phi, path, DynamicsConfig(0.0, 2, "wick", noise_on=False))
-    v = gauge_phase(wck, 2)
+    wck = evolve(phi, path, DynamicsConfig(0.0, "wick"))
+    v = gauge_phase(wck)
     dv = np.diff(v)
     assert np.max(np.abs(dv - dv[0])) < 1e-11
     # slope is (mass(phi) - sigma) since the wick flow conserves mass
@@ -158,10 +157,10 @@ def test_extract_remainder_starts_at_zero_and_subtracts():
     lat = ModeLattice(2)
     phi = _gff(2, 12)
     path = NoisePath.generate(lat, 0.25, 200, seed=2)
-    cfg = DynamicsConfig(gamma=0.5, n_trunc=2)
+    cfg = DynamicsConfig(gamma=0.5)
     traj = evolve(phi, path, cfg)
-    rem = extract_remainder(traj, phi, path, n_trunc=2)
-    lin = linear_evolution(phi, path, 0.5, 2)
+    rem = extract_remainder(traj, phi, path)
+    lin = linear_evolution(phi, path, 0.5)
     np.testing.assert_allclose(rem.coeffs[0], 0.0, atol=1e-14)
     np.testing.assert_allclose(rem.coeffs + lin.coeffs, traj.coeffs, atol=1e-13)
 
@@ -172,10 +171,10 @@ def test_picard_converges_to_extracted_remainder():
     phi = sample_gff(lat, rng)
     gamma, horizon, n_steps = 0.5, 0.05, 2000
     path = NoisePath.generate(lat, horizon, n_steps, seed=13)
-    traj = evolve(phi, path, DynamicsConfig(gamma, 2, "dynamic"))
-    rem = extract_remainder(traj, phi, path, n_trunc=2)
-    base = linear_evolution(phi, path, gamma, 2)
-    pic = picard_remainder(base, n_trunc=2, gamma=gamma)
+    traj = evolve(phi, path, DynamicsConfig(gamma, "dynamic"))
+    rem = extract_remainder(traj, phi, path)
+    base = linear_evolution(phi, path, gamma)
+    pic = picard_remainder(base, gamma=gamma)
     assert pic.converged
     assert max(pic.contraction_ratios) < 1.0
     assert pic.residuals[-1] < pic.residuals[0]
@@ -189,14 +188,14 @@ def test_dynamics_config_rejects_a_non_finite_damping(gamma):
     # the config parser lets no non-finite number through, so the CLI tests
     # cannot reach this case; negative dampings and drifts are covered there
     with pytest.raises(ValueError, match="gamma must be finite"):
-        DynamicsConfig(gamma=gamma, n_trunc=2)
+        DynamicsConfig(gamma=gamma)
 
 
 def test_evolve_raises_on_blowup():
     lat = ModeLattice(2)
     big = FourierField(lat, 1e5 * np.ones(lat.n_modes, dtype=complex))
     path = NoisePath.generate(lat, 1.0, 10, seed=0)
-    cfg = DynamicsConfig(gamma=1.0, n_trunc=2)
+    cfg = DynamicsConfig(gamma=1.0)
     with pytest.raises(RuntimeError) as info:
         evolve(big, path, cfg)
     assert isinstance(info.value, MassBlowUpError)
@@ -205,10 +204,11 @@ def test_evolve_raises_on_blowup():
     assert info.value.member == 0
 
 
-def _lockstep_run(lat, phi, seeds, gammas, n_steps, **kw):
-    """States of a (gamma, member) stack, shape (n_steps + 1, G, B, K)."""
-    cfg = DynamicsConfig(gamma=np.asarray(gammas)[:, None], n_trunc=lat.n_cut, **kw)
-    incs = lockstep_increments(lat, 0.2, n_steps, seeds)
+def _lockstep_run(lat, phi, seeds, gammas, n_steps, noise=1.0, **kw):
+    """States of a (gamma, member) stack, shape (n_steps + 1, G, B, K), with
+    the members' increments scaled by `noise`."""
+    cfg = DynamicsConfig(gamma=np.asarray(gammas)[:, None], **kw)
+    incs = (noise * inc for inc in lockstep_increments(lat, 0.2, n_steps, seeds))
     return np.stack(list(lockstep(FourierField(lat, phi), incs, 0.2 / n_steps, cfg)))
 
 
@@ -222,15 +222,16 @@ def test_lockstep_rows_equal_one_row_evolve(renormalization, nonlinearity_on, no
     phi = np.stack([0.5 * _gff(3, 30 + m).coeffs for m in range(len(seeds))])
     gammas = np.where(rng.random(5) < 0.4, 0.0, rng.uniform(0.05, 1.0, 5))
     gammas[:2] = (0.0, 0.3)  # both branches, whatever the draw
-    kw = dict(renormalization=renormalization, nonlinearity_on=nonlinearity_on,
-              noise_on=noise_on)
-    states = _lockstep_run(lat, phi, seeds, gammas, n_steps, **kw)
+    kw = dict(renormalization=renormalization, nonlinearity_on=nonlinearity_on)
+    noise = 1.0 if noise_on else 0.0  # no noise: every row has zero increments
+    states = _lockstep_run(lat, phi, seeds, gammas, n_steps, noise, **kw)
     assert states.shape == (n_steps + 1, len(gammas), len(seeds), lat.n_modes)
     for m, sd in enumerate(seeds):
         path = NoisePath.generate(lat, 0.2, n_steps, seed=sd)
+        path.increments = noise * path.increments
         for j, g in enumerate(gammas):
             traj = evolve(FourierField(lat, phi[m]), path,
-                          DynamicsConfig(float(g), lat.n_cut, **kw))
+                          DynamicsConfig(float(g), **kw))
             np.testing.assert_array_equal(states[:, j, m], traj.coeffs)
 
 
@@ -245,9 +246,16 @@ def test_lockstep_rows_equal_evolve_on_a_large_stack():
     for m, sd in enumerate(seeds):
         path = NoisePath.generate(lat, 0.2, 3, seed=sd)
         for j, g in enumerate((0.0, 0.25)):
-            traj = evolve(FourierField(lat, phi[m]), path,
-                          DynamicsConfig(g, lat.n_cut, "wick"))
+            traj = evolve(FourierField(lat, phi[m]), path, DynamicsConfig(g, "wick"))
             np.testing.assert_array_equal(states[:, j, m], traj.coeffs)
+
+
+def test_lockstep_first_state_does_not_alias_the_data():
+    lat = ModeLattice(2)
+    phi = FourierField(lat, _gff(2, 52).coeffs[None])
+    first = next(lockstep(phi, [], 0.1, DynamicsConfig(gamma=0.5)))
+    assert not np.shares_memory(first, phi.coeffs)
+    np.testing.assert_array_equal(first, phi.coeffs)
 
 
 def test_lockstep_names_the_blown_up_row():
@@ -255,7 +263,7 @@ def test_lockstep_names_the_blown_up_row():
     phi = np.stack([0.1 * _gff(2, 50).coeffs,
                     1e5 * np.ones(lat.n_modes, dtype=complex),
                     0.1 * _gff(2, 51).coeffs])
-    cfg = DynamicsConfig(gamma=np.array([0.0, 1.0, 1.0]), n_trunc=2)
+    cfg = DynamicsConfig(gamma=np.array([0.0, 1.0, 1.0]))
     incs = lockstep_increments(lat, 0.1, 10, [1, 2, 3])
     with pytest.raises(MassBlowUpError) as info:
         for _ in lockstep(FourierField(lat, phi), incs, 0.01, cfg):

@@ -3,8 +3,9 @@
 Pure ``ast`` checks, so they need no linter installed.  The package's
 ``__init__.py`` re-exports names by importing them and is exempt from the
 unused-import rule.  Import-time checks follow: every name a demo imports
-from the package exists, the package leaves ``scipy.sparse.csgraph``
-unloaded, and the benchmark's tracer finds every name it wraps.
+from the package exists and takes the arguments the demo passes it, the
+package leaves ``scipy.sparse.csgraph`` unloaded, and the benchmark's
+tracer finds every name it wraps.
 """
 
 import ast
@@ -115,6 +116,57 @@ def test_checker_sees_a_missing_package_import():
     tree = ast.parse("from torus_phi4 import ModeLattice, propagator\n"
                      "from torus_phi4.flows import evolve\nimport numpy\n")
     assert _missing_package_imports(tree) == ["torus_phi4.propagator (line 1)"]
+
+
+def _unbound_package_calls(tree: ast.Module) -> list:
+    """Calls `f(...)` and `f.attr(...)` of a name imported from the package
+    whose positional count and keyword names its signature rejects."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "torus_phi4":
+            mod = importlib.import_module(node.module)
+            bound.update((a.asname or a.name, getattr(mod, a.name, None))
+                         for a in node.names)
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in bound:
+            name, fn = f.id, bound[f.id]
+        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in bound:
+            name, fn = f"{f.value.id}.{f.attr}", getattr(bound[f.value.id], f.attr, None)
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            continue  # *args or **kwargs: the names are not known here
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: k for k in node.keywords})
+        except TypeError as exc:
+            bad.append(f"{name} (line {node.lineno}): {exc}")
+    return bad
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_calls_bind(path):
+    # a parameter removed from the package breaks the demo that passes it
+    bad = _unbound_package_calls(ast.parse(path.read_text()))
+    assert not bad, f"{path.name} calls the package with arguments it rejects: {bad}"
+
+
+def test_checker_sees_a_call_that_does_not_bind():
+    tree = ast.parse("from torus_phi4 import DynamicsConfig, NoisePath\n"
+                     "DynamicsConfig(0.5, 'wick')\n"
+                     "DynamicsConfig(0.5, n_trunc=8)\n"
+                     "DynamicsConfig(0.5, 'wick', True, False)\n"
+                     "NoisePath.generate(None, 1.0, 4, seed=0)\n"
+                     "NoisePath.generate(None, 1.0, 4, 0, 0)\n")
+    assert [b.split(":")[0] for b in _unbound_package_calls(tree)] == [
+        "DynamicsConfig (line 3)", "DynamicsConfig (line 4)",
+        "NoisePath.generate (line 6)"]
 
 
 def test_package_import_leaves_csgraph_unloaded():
