@@ -34,14 +34,17 @@ on the quadratic one at that kappa.  Each fiber block is then a complete
 product of a row set and a column set, so a level-keyed flattening fails
 the check only when its largest count product lies at kappa = 0.
 
-So `verify_tensor_bounds` takes every norm from one pass of pair counts
-over the shells.  A two-slot flattening is block diagonal over its linear
-key, each block all ones less the pairings in it: the plain norm builds
-only the blocks whose Schur bound can win, and off resonance the fiber sup
-is sqrt of the largest row count times column count over one key and two
-unequal quadratic parts, so only the resonant fiber takes the block path.
-Single-slot norms are entry counts per mode, or per level and mode.  The
-tensor path (`tensor_norms`, `fiber_norm_sup`) is their oracle.
+So `verify_tensor_bounds` builds no tensor.  A two-slot flattening is
+block diagonal over its linear key, each block all ones less the pairings
+in it: from pair counts over the shells, the plain norm builds only the
+blocks whose Schur bound can win, and off resonance the fiber sup is sqrt
+of the largest row count times column count over one key and two unequal
+quadratic parts.  The single-slot norms are entry counts per mode, plain
+from the pair counts, per level from one chunked pass over the triples of
+the shells that stores no coordinates; that pass also enumerates the
+resonant fiber, the only part that takes the block path.  The tensor path
+(`build_tensor`, `fiber`, `tensor_norms`, `fiber_norm_sup`) is their
+oracle.
 """
 
 from __future__ import annotations
@@ -560,6 +563,99 @@ def _line_max(key: np.ndarray, left_out: np.ndarray, lines: np.ndarray,
     return best
 
 
+def _tally(keys: np.ndarray, counts: np.ndarray) -> tuple:
+    """The distinct keys (int64) and the summed counts (float64) of each."""
+    ids = _lex_ids((keys,), keys.size)
+    distinct = np.empty(int(ids.max(initial=-1)) + 1, dtype=np.int64)
+    distinct[ids] = keys
+    return distinct, np.bincount(ids, weights=counts)
+
+
+_CHUNK_ENTRIES = 1 << 17  # most triples (or level bins) of a chunk of the level pass
+
+
+def _level_pass(points: tuple) -> tuple:
+    """The {n} and {n1} sups over the resonance levels, and the resonant
+    fiber, of the tensor that `build_tensor` (no n_cap) makes of the point
+    sets `points` (S1, S2, S3, each in lexicographic order as `_shell` gives
+    them), from one pass over S1 x S2 x S3 that stores no coordinates: the
+    sups bit for bit `_norm(ranks with level, rows, per_level=True)`, the
+    fiber entry for entry `fiber(tensor, 0)`.
+
+    kappa / 2 = <n2 - n1, n2 - n3> is A[i1, i2] + B[i2, i3] + C[i1, i3], and
+    the index of n = n1 - n2 + n3 in its box (mixed radix) is L1[i1] -
+    L2[i2] + L3[i3], so each chunk of S1 (of at most _CHUNK_ENTRIES triples
+    and _CHUNK_ENTRIES bins of (row, kappa)) takes both by broadcasting.
+    Every pairing has kappa = 0, so off resonance the counts of one (n1,
+    kappa) or (n, kappa) are triple counts: per chunk a bincount of rows and
+    levels, and over the chunks a table over the box of n and the levels,
+    or, where that table has more bins than S1 x S2 x S3 has triples, the
+    distinct keys and their counts, merged chunk by chunk by `_lex_ids`.  At
+    kappa = 0 the triples with n2 != n1 and n2 != n3 are the resonant fiber,
+    in the (i1, i2, i3) order of the tensor, and their counts per mode take
+    the place of the level-0 counts.
+    """
+    if 0 in map(len, points):  # no triple
+        none = np.zeros((0, 2), dtype=np.int64)
+        return 0.0, 0.0, SparseTensor(none, none, none, none, np.zeros(0, dtype=np.int32))
+    s1, s2, s3 = (s.astype(np.int64) for s in points)
+    a = -s1 @ s2.T
+    b = np.sum(s2**2, axis=1)[:, None] - s2 @ s3.T
+    c = s1 @ s3.T
+    lo = min(int(a.min() + b.min() + c.min()), 0)
+    span = max(int(a.max() + b.max() + c.max()), 0) - lo + 1  # levels / 2, 0 among them
+    corner = s1.min(0) - s2.max(0) + s3.min(0)
+    width = s1.max(0) - s2.min(0) + s3.max(0) - corner + 1
+    l1, l2, l3 = (s @ [width[1], 1] for s in (s1, s2, s3))
+    shift = int(corner @ [width[1], 1])
+    bins = int(np.prod(width)) * span
+    dense = bins <= len(s1) * len(s2) * len(s3)
+    # the tables and sums may wrap in int32, but every level and key they
+    # end in lies in (-bins, bins), so each is exact modulo 2^32
+    dtype = np.int32 if bins < 1 << 31 else np.int64
+    a, b, c = (t.astype(dtype) for t in (a, b, c))
+    # key of (n, kappa): span * (index of n) + kappa / 2 - lo
+    u = (span * (l1[:, None] - l2 - shift) - lo).astype(dtype)
+    v = (span * l3).astype(dtype)
+    n1_n2 = np.any(s1[:, None] != s2, axis=-1)
+    n2_n3 = np.any(s2[:, None] != s3, axis=-1)
+    rows = max(1, _CHUNK_ENTRIES // max(len(s2) * len(s3), span))
+    table = np.zeros(bins if dense else 0, dtype=np.int64)
+    seen, tally = np.zeros(0, dtype=np.int64), np.zeros(0)
+    per_n1, found = 0, []
+    for r in range(0, len(s1), rows):
+        part = slice(r, r + rows)
+        kappa = a[part, :, None] + b
+        kappa += c[part, None, :]
+        i1, i2, i3 = np.nonzero(kappa == 0)
+        keep = n1_n2[part][i1, i2] & n2_n3[i2, i3]
+        found.append((i1[keep] + r, i2[keep], i3[keep]))
+        key = u[part, :, None] + v
+        key += kappa
+        kappa += (span * np.arange(len(kappa), dtype=dtype) - lo)[:, None, None]
+        count = np.bincount(kappa.ravel(), minlength=len(kappa) * span).reshape(-1, span)
+        count[:, -lo] = np.bincount(i1[keep], minlength=len(kappa))
+        per_n1 = max(per_n1, int(count.max()))
+        if dense:  # the chunk's keys span a stretch of the table
+            first = int(key.min())
+            key -= first
+            stretch = np.bincount(key.ravel())
+            table[first:first + stretch.size] += stretch
+        else:
+            seen, tally = _tally(np.concatenate([seen, key.ravel()]),
+                                 np.concatenate([tally, np.ones(key.size)]))
+    i1, i2, i3 = (np.concatenate(i) for i in zip(*found))
+    if dense:
+        table.reshape(-1, span)[:, -lo] = 0
+        per_n = int(table.max())
+    else:
+        per_n = int(tally[seen % span != -lo].max(initial=0))
+    per_n = max(per_n, int(np.bincount(l1[i1] - l2[i2] + l3[i3] - shift).max(initial=0)))
+    n1, n2, n3 = s1[i1], s2[i2], s3[i3]
+    resonant = SparseTensor(n1 - n2 + n3, n1, n2, n3, np.zeros(i1.size, dtype=np.int32))
+    return float(np.sqrt(per_n)), float(np.sqrt(per_n1)), resonant
+
+
 _RUN_ENTRIES = 1 << 14  # most entries of a run of key blocks, unless one holds more
 
 # per two-slot row group: the lone row slot z and the column slots (a, b),
@@ -570,13 +666,13 @@ _PLAIN_BLOCKS = {("n", "n2"): ("n2", "n1", "n3"),
                  ("n", "n3"): ("n3", "n1", "n2")}
 
 
-def _count_norms(points: tuple, pairings: tuple, tensor: SparseTensor) -> tuple:
+def _count_norms(points: tuple, pairings: tuple) -> tuple:
     """Per row group of _FAM1 + _FAM2, the norm of the plain flattening and
-    the sup over the resonance levels of the fiber norms of `tensor`, the
-    tensor that `build_tensor` (no n_cap) makes of the point sets `points`
-    (S1, S2, S3, each in lexicographic order as `_shell` gives them), whose
-    `_pairings` are given: two dicts, bit for bit `_norm(ranks, rows)` and
-    `_norm(ranks with level, rows, per_level=True)`.
+    the sup over the resonance levels of the fiber norms of the tensor that
+    `build_tensor` (no n_cap) makes of the point sets `points` (S1, S2, S3,
+    each in lexicographic order as `_shell` gives them), whose `_pairings`
+    are given, with no tensor built: two dicts, bit for bit `_norm(ranks,
+    rows)` and `_norm(ranks with level, rows, per_level=True)`.
 
     The single-slot groups take sqrt of the largest entry count of one
     mode: |S2||S3| less the pairings of n1, and for n the triples with
@@ -603,8 +699,8 @@ def _count_norms(points: tuple, pairings: tuple, tensor: SparseTensor) -> tuple:
     product of the row and column counts of one key and two unequal parts,
     from the two largest part counts of each key on either side
     (`_top_two`).  The resonant fiber, about 2% of the entries, takes the
-    block path on its own slot ranks; a single-slot sup is sqrt of the
-    largest entry count of one level and mode of the tensor.
+    block path on its own slot ranks; it and the single-slot sups come from
+    `_level_pass`.
     """
     dot = lambda u, v: np.sum(u * v, axis=-1)
     slot_pts = dict(zip(_SLOTS[1:], points))
@@ -612,11 +708,9 @@ def _count_norms(points: tuple, pairings: tuple, tensor: SparseTensor) -> tuple:
     sizes = [len(s) for s in points]
     per_n1 = sizes[1] * sizes[2] - np.bincount(pairings[0], minlength=sizes[0])
     norms = {("n1",): float(np.sqrt(per_n1.max(initial=0)))}
-    sups = {}
-    for s in ("n", "n1"):
-        ids = _lex_ids((tensor.levels, *getattr(tensor, s).T), tensor.nnz)
-        sups[(s,)] = float(np.sqrt(np.bincount(ids).max(initial=0)))
-    resonant = _slot_ranks(fiber(tensor, 0))
+    sup_n, sup_n1, resonant = _level_pass(points)
+    sups = {("n",): sup_n, ("n1",): sup_n1}
+    resonant = _slot_ranks(resonant)
     for rows, (lone, a, b) in _PLAIN_BLOCKS.items():
         z_pts, a_pts, b_pts = (slot_pts[s] for s in (lone, a, b))
         nz = len(z_pts)
@@ -718,10 +812,11 @@ def verify_tensor_bounds(
     slopes (also reported) can sit slightly above the tolerance.
 
     Each triple's shells are taken once, and refused past the support guard
-    or with an empty support before any pair is counted or norm taken.  One
-    count pass over them (`_count_norms`) gives the plain norms and the
-    fiber sups, bit for bit the values of `tensor_norms` and
-    `fiber_norm_sup`; of the built tensor it ranks only the resonant fiber.
+    or with an empty support before any pair is counted or norm taken.  No
+    tensor is built: one count pass over the shells (`_count_norms`) gives
+    the plain norms and the fiber sups, bit for bit the values that the
+    oracle `tensor_norms` and `fiber_norm_sup` take of `build_tensor`'s
+    tensor, and it ranks only the resonant fiber, which it enumerates.
     """
     if not shell_sweeps:
         raise ValueError("no shell sweeps: a slope needs at least one sweep")
@@ -736,18 +831,18 @@ def verify_tensor_bounds(
         for shells in sweep:
             points = _guarded_shells(shells, ((0, 0),) * 3)
             pairings = _pairings(*points)
-            if len(points[0]) * len(points[1]) * len(points[2]) == pairings[0].size:
+            nnz = len(points[0]) * len(points[1]) * len(points[2]) - pairings[0].size
+            if nnz == 0:
                 raise ValueError(f"shell triple {shells} has an empty support")
             ns = sorted(shells, reverse=True)
             nmax, nmed, nmin = float(ns[0]), float(ns[1]), float(ns[2])
-            t = build_tensor(shells)
-            plain, sups = _count_norms(points, pairings, t)
+            plain, sups = _count_norms(points, pairings)
             norm1, norm2, f1, f2 = (max(vals[r] for r in fam) for vals in (plain, sups)
                                     for fam in (_FAM1, _FAM2))
             sweep_rows.append(
                 {
                     "shells": shells,
-                    "nnz": t.nnz,
+                    "nnz": nnz,
                     "ratio_norm1": norm1 / (nmax * nmed),
                     "ratio_fiber1": f1 / (nmax ** (0.5 + eps) * nmed**0.5),
                     "ratio_norm2": norm2 / (nmax * nmin),

@@ -254,7 +254,6 @@ def test_criterion_09_counting():
 # 10. tensor norms: dense-SVD certification and flat bound constants
 # --------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_criterion_10_tensor_bounds():
     worst = 0.0
     for shells in ((1, 1, 1), (2, 2, 1)):

@@ -454,14 +454,30 @@ _BENCH_TRIPLES = [(1, 1, 1), (2, 2, 2), (2, 1, 1), (4, 2, 2), (2, 2, 1), (4, 4, 
 _PLAIN_SHELLS = {"row order": ((4, 1.2, 1.5), ((-3, -3), (3, -2), (2, -2)))}
 
 
-# the plain norms read no entry of the tensor: an empty one stands in
-_NO_TENSOR = SparseTensor(*(np.zeros((0, 2), dtype=np.int16),) * 4,
-                          np.zeros(0, dtype=np.int32))
-
-
 def _count_plain_norms(points):
     """The plain norms of the count pass on three point sets."""
-    return counting._count_norms(points, counting._pairings(*points), _NO_TENSOR)[0]
+    return counting._count_norms(points, counting._pairings(*points))[0]
+
+
+def _record_flattening_norms(monkeypatch):
+    """Record (entries, resonant) per `_flattening_norm` call: the calls made
+    through `_norm` take the resonant fiber, the others plain key blocks."""
+    calls, resonant, flattening_norm, norm = [], [False], counting._flattening_norm, _norm
+
+    def recorded(ri, ci, tol):
+        calls.append((ri.size, resonant[0]))
+        return flattening_norm(ri, ci, tol)
+
+    def resonant_norm(*args):
+        resonant[0] = True
+        try:
+            return norm(*args)
+        finally:
+            resonant[0] = False
+
+    monkeypatch.setattr(counting, "_flattening_norm", recorded)
+    monkeypatch.setattr(counting, "_norm", resonant_norm)
+    return calls
 
 
 def _count_input(case):
@@ -490,7 +506,7 @@ def test_count_plain_norms_equal_plain_norms_bit_for_bit(case):
     assert len(points[0]) * len(points[1]) * len(points[2]) - pairings[0].size == t.nnz
     ranks = _slot_ranks(t)
     want = {r: _norm(ranks, r) for r in dict.fromkeys(_FAM1 + _FAM2)}
-    assert counting._count_norms(points, pairings, t)[0] == want
+    assert counting._count_norms(points, pairings)[0] == want
 
 
 @pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS))
@@ -500,7 +516,7 @@ def test_count_fiber_sups_equal_per_level_norms_bit_for_bit(case):
     points, t = _count_input(case)
     want = {r: _norm(_with_levels(t), r, per_level=True)
             for r in dict.fromkeys(_FAM1 + _FAM2)}
-    sups = counting._count_norms(points, counting._pairings(*points), t)[1]
+    sups = counting._count_norms(points, counting._pairings(*points))[1]
     assert sups == want
     if case == "no resonance":
         assert t.nnz > 0 and not np.any(t.levels == 0)
@@ -510,6 +526,46 @@ def test_count_fiber_sups_equal_per_level_norms_bit_for_bit(case):
         sup = want[("n", "n1")]
         assert sup == _norm(_slot_ranks(fiber(t, 0)), ("n", "n1"))
         assert sup == pytest.approx(1 + np.sqrt(3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", ["one point of S1", "all of S1"])
+@pytest.mark.parametrize("case", _RANDOM_SEEDS + list(_COUNT_SHELLS) + _BENCH_TRIPLES)
+def test_level_pass_equals_the_built_tensor(case, chunk, monkeypatch):
+    # the single-slot sups of the level-keyed flattenings of the built tensor
+    # exactly, and its resonant fiber entry for entry, in its order; seed 5,
+    # "no resonance", "resonant sup", (2, 1, 1) and (2, 2, 1) merge the (n,
+    # kappa) keys by sort, the other non-empty cases count them on a table
+    points, t = _count_input(case)
+    monkeypatch.setattr(counting, "_CHUNK_ENTRIES", 1 if chunk == "one point of S1" else 1 << 62)
+    sup_n, sup_n1, resonant = counting._level_pass(points)
+    ranks = _with_levels(t)
+    assert sup_n == _norm(ranks, ("n",), per_level=True)
+    assert sup_n1 == _norm(ranks, ("n1",), per_level=True)
+    want = fiber(t, 0)
+    for f in ("n", "n1", "n2", "n3", "levels"):
+        np.testing.assert_array_equal(getattr(resonant, f), getattr(want, f), err_msg=f)
+    if case == "resonant sup":
+        assert resonant.nnz > 0
+
+
+def test_verify_tensor_bounds_peak_below_one_tensor(monkeypatch):
+    # no tensor is built: the traced peak of the sweep stays below the 20
+    # bytes an entry that the (4, 4, 2) tensor alone holds, 14.9 MiB
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tensor or a fiber of one was built")
+
+    for name in ("build_tensor", "fiber"):
+        monkeypatch.setattr(counting, name, forbidden)
+    sweeps = (((2, 2, 1), (4, 4, 2)),)
+    verify_tensor_bounds(shell_sweeps=sweeps)  # first imports, outside the trace
+    tracemalloc.start()
+    try:
+        rep = verify_tensor_bounds(shell_sweeps=sweeps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["rows"][-1]["nnz"] == 783_216
+    assert peak < 20 * 783_216
 
 
 def test_count_plain_norms_take_a_split_key_block(monkeypatch):
@@ -544,16 +600,11 @@ def test_count_plain_norms_prune_by_exact_line_counts(monkeypatch):
     # at (16, 2, 2) the bound sqrt(min(nnz, max row * max column)) lets 5
     # calls with 75 242 entries decide the three two-slot norms; sqrt(nnz)
     # alone built 3.56M entries in 219 calls, more than the 3.04M the
-    # tensor holds
-    sizes, flattening_norm = [], counting._flattening_norm
-
-    def recorded(ri, ci, tol):
-        sizes.append(ri.size)
-        return flattening_norm(ri, ci, tol)
-
-    monkeypatch.setattr(counting, "_flattening_norm", recorded)
+    # tensor holds (the resonant fiber's calls of the fiber sups aside)
+    calls = _record_flattening_norms(monkeypatch)
     points = tuple(counting._shell((0, 0), n_lo) for n_lo in (16, 2, 2))
     _count_plain_norms(points)
+    sizes = [size for size, resonant in calls if not resonant]
     assert sum(sizes) <= 100_000
 
 
@@ -562,21 +613,7 @@ def test_verify_tensor_bounds_builds_no_whole_plain_flattening(monkeypatch):
     # to the largest of them or a run of _RUN_ENTRIES entries; those of the
     # fiber sups, through `_norm`, take the resonant entries
     sweeps = (((2, 1, 1), (4, 2, 2)),)
-    calls, resonant, flattening_norm, norm = [], [False], counting._flattening_norm, _norm
-
-    def recorded(ri, ci, tol):
-        calls.append((ri.size, resonant[0]))
-        return flattening_norm(ri, ci, tol)
-
-    def resonant_norm(*args):
-        resonant[0] = True
-        try:
-            return norm(*args)
-        finally:
-            resonant[0] = False
-
-    monkeypatch.setattr(counting, "_flattening_norm", recorded)
-    monkeypatch.setattr(counting, "_norm", resonant_norm)
+    calls = _record_flattening_norms(monkeypatch)
     verify_tensor_bounds(shell_sweeps=sweeps)
     monkeypatch.undo()
     largest, at_zero = 0, 0
@@ -608,7 +645,7 @@ def test_verify_tensor_bounds_refuses_an_empty_support(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a tensor or a norm was taken")
 
-    for name in ("build_tensor", "_count_norms"):
+    for name in ("build_tensor", "_count_norms", "_level_pass"):
         monkeypatch.setattr(counting, name, forbidden)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -623,7 +660,7 @@ def test_verify_tensor_bounds_tests_the_support_guard_first(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("pairs were counted past the support guard")
 
-    for name in ("_pairings", "_count_norms", "build_tensor"):
+    for name in ("_pairings", "_count_norms", "_level_pass", "build_tensor"):
         monkeypatch.setattr(counting, name, forbidden)
     with pytest.raises(ValueError, match="support guard"):
         verify_tensor_bounds(shell_sweeps=(((16, 16, 16), (32, 32, 32)),))

@@ -2,7 +2,8 @@
 
 Pure ``ast`` checks, so they need no linter installed.  The package's
 ``__init__.py`` re-exports names by importing them and is exempt from the
-unused-import rule.  Import-time checks follow: every name a demo imports
+unused-import rule.  The package reads no numpy name that numpy 1.24, the
+floor pyproject.toml allows, lacks.  Import-time checks follow: every name a demo imports
 from the package exists and takes the arguments the demo passes it, the
 package leaves ``scipy.sparse.csgraph`` unloaded, and the benchmark's
 tracer finds every name it wraps.
@@ -91,6 +92,73 @@ def test_all_names_exist(path):
 def test_checker_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c\n\nprint(b)\n")
     assert sorted(set(_imported_names(tree)) - _used_names(tree)) == ["c", "os"]
+
+
+# numpy 2 names that numpy 1.24 lacks, relative to the numpy package;
+# ``astype`` is the function np.astype, not the array method
+_NUMPY2_ONLY = {"vecdot", "matvec", "vecmat", "unique_values", "unique_counts",
+                "unique_inverse", "unique_all", "concat", "permute_dims", "pow",
+                "isdtype", "cumulative_sum", "cumulative_prod", "bitwise_count",
+                "astype", "linalg.matrix_transpose"}
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """`a.b.c` of a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _numpy2_names(tree: ast.Module) -> list:
+    """Uses of a `_NUMPY2_ONLY` name: imported from numpy, or read as an
+    attribute of a name that numpy or one of its submodules is imported as."""
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "numpy":
+                    modules[a.asname or "numpy"] = a.name if a.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "numpy":
+            for a in node.names:
+                name = f"{node.module}.{a.name}"
+                modules[a.asname or a.name] = name  # it may be a submodule
+                if name.removeprefix("numpy.") in _NUMPY2_ONLY:
+                    found.append(f"{name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+        head, _, rest = (dotted or "").partition(".")
+        if head in modules:
+            name = f"{modules[head]}.{rest}"
+            if name.removeprefix("numpy.") in _NUMPY2_ONLY:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy2_only_names(path):
+    # the floor CI job (numpy 1.24) would fail on these; this check runs
+    # on whatever numpy is installed
+    found = _numpy2_names(ast.parse(path.read_text()))
+    assert not found, f"{path.name} uses names numpy 1.24 lacks: {found}"
+
+
+def test_checker_sees_numpy2_names():
+    tree = ast.parse("import numpy as np\nimport numpy.linalg as la\n"
+                     "from numpy import concat, sum\nfrom numpy import linalg\n"
+                     "x = np.zeros(3).astype(int)\ny = np.astype(x, float)\n"
+                     "z = la.matrix_transpose(np.vecdot(x, x))\n"
+                     "w = linalg.matrix_transpose(x) + np.linalg.norm(x)\n"
+                     "v = np.linalg.matrix_transpose(x)\n")
+    assert sorted(_numpy2_names(tree)) == sorted([
+        "numpy.concat (line 3)", "numpy.astype (line 6)",
+        "numpy.linalg.matrix_transpose (line 7)", "numpy.vecdot (line 7)",
+        "numpy.linalg.matrix_transpose (line 8)",
+        "numpy.linalg.matrix_transpose (line 9)"])
 
 
 def _missing_package_imports(tree: ast.Module) -> list:
