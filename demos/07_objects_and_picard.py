@@ -35,7 +35,7 @@ path_s = NoisePath.generate(lat, horizon, n_steps, seed=23)
 traj = evolve(phi, path_s, DynamicsConfig(gamma=0.5, renormalization="dynamic"))
 rem = extract_remainder(traj, phi, path_s)
 base = linear_evolution(phi, path_s, 0.5)
-pic = picard_remainder(base, gamma=0.5)
+pic = picard_remainder(base)
 gap = np.sqrt((np.abs(pic.trajectory.coeffs - rem.coeffs) ** 2)
               .sum(axis=1)).max()
 print(f"picard vs direct remainder: sup-t gap {gap:.2e}, "

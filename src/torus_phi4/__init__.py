@@ -11,11 +11,10 @@ seeded experiment harness with a command-line front end.
 
 __version__ = "0.1.0"
 
-from .spectral import (bracket, ModeLattice, FourierField, project_leq,
-                       sobolev_norm)
+from .spectral import bracket, ModeLattice, FourierField, sobolev_norm
 from .nonlinearity import (mass, quartic_mean, cubic, resonant, nonpairing,
                            renormalized_cubic, wick_cubic, conserved_energy,
-                           oracle_trilinear, TrilinearSpec)
+                           oracle_trilinear)
 from .gibbs import (mode_variance_sum, sample_gff, renormalized_potential,
                     wick_potential, wick_action, sample_gibbs_pcn_chains,
                     check_exponential_moments)
@@ -24,9 +23,8 @@ from .flows import (linear_evolution, DynamicsConfig, Trajectory, evolve,
                     lockstep, linear_distance, MassBlowUpError,
                     extract_remainder, gauge_phase, apply_gauge, duhamel,
                     picard_remainder, PicardResult)
-from .chaos import (hermite, CellGrid, ChaosKernel,
-                    multi_integral, kernel_inner, symmetrize, outer,
-                    cubic_via_chaos, hypercontractivity_ratio)
+from .chaos import (CellGrid, ChaosKernel, multi_integral, kernel_inner,
+                    symmetrize, cubic_via_chaos, hypercontractivity_ratio)
 from .objects import (ObjectBundle, build_bundle, regularity_scan,
                       write_scan_csv)
 from .xsb import (smooth_bump, trajectory_window,

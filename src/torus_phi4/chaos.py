@@ -15,10 +15,6 @@ where e_j in {+1,-1} is a per-slot conjugation flag (complex conjugate
 when -1).  With all flags +1 this satisfies the Ito isometry
 E[I_k[f] conj(I_k[g])] = k! <Sym f, Sym g> up to the O(h) diagonal
 refinement error, and members of different orders are orthogonal.
-
-Hermite polynomials with variance parameter sigma (generating function
-exp(t x - sigma t^2 / 2)) are provided for the one-dimensional chaos
-correspondence.
 """
 
 from __future__ import annotations
@@ -33,34 +29,14 @@ from .noise import NoisePath
 from .spectral import FourierField, ModeLattice
 
 __all__ = [
-    "hermite",
     "CellGrid",
     "ChaosKernel",
     "multi_integral",
     "kernel_inner",
     "symmetrize",
-    "outer",
     "cubic_via_chaos",
     "hypercontractivity_ratio",
 ]
-
-
-def hermite(k: int, x, sigma: float = 1.0):
-    """Hermite polynomial H_k(x; sigma), generating fn exp(tx - sigma t^2/2).
-
-    H_0 = 1, H_1 = x, H_2 = x^2 - sigma, H_3 = x^3 - 3 sigma x, ...
-    via the recursion H_{k+1} = x H_k - k sigma H_{k-1}.
-    """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev
-    h = x.copy()
-    for j in range(1, k):
-        h, h_prev = x * h - j * sigma * h_prev, h
-    return h
 
 
 class CellGrid:
@@ -167,14 +143,6 @@ def symmetrize(kernel: ChaosKernel) -> ChaosKernel:
     return ChaosKernel(kernel.grid, acc / math.factorial(k), kernel.conj_pattern)
 
 
-def outer(f: ChaosKernel, g: ChaosKernel, conj_second: bool = False) -> ChaosKernel:
-    """Tensor product kernel f (x) g, optionally conjugating g's table and flags."""
-    gv = np.conj(g.values) if conj_second else g.values
-    gp = tuple(-e for e in g.conj_pattern) if conj_second else g.conj_pattern
-    vals = np.multiply.outer(f.values, gv)
-    return ChaosKernel(f.grid, vals, f.conj_pattern + gp)
-
-
 # --- the linear and cubic stochastic objects as chaos expansions ---------
 
 
@@ -239,8 +207,8 @@ def cubic_via_chaos(
     return FourierField(lat, base.coeffs - corr)
 
 
-def hypercontractivity_ratio(samples: np.ndarray, p: float = 4.0) -> np.ndarray:
-    """||X||_p / ||X||_2 along the first (sample) axis."""
-    ap = np.mean(np.abs(samples) ** p, axis=0) ** (1.0 / p)
+def hypercontractivity_ratio(samples: np.ndarray) -> np.ndarray:
+    """||X||_4 / ||X||_2 along the first (sample) axis."""
+    ap = np.mean(np.abs(samples) ** 4.0, axis=0) ** 0.25
     a2 = np.sqrt(np.mean(np.abs(samples) ** 2, axis=0))
     return ap / np.maximum(a2, 1e-300)

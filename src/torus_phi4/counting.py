@@ -332,8 +332,7 @@ def _flatten(ranks: dict, rows: tuple, per_level: bool = False) -> tuple:
                  for side in (rows, cols))
 
 
-def _norm(ranks: dict, rows: tuple, per_level: bool = False, tol: float = NORM_TOL
-          ) -> float:
+def _norm(ranks: dict, rows: tuple, per_level: bool = False) -> float:
     """Norm of the rows x columns flattening, block diagonal over the levels
     when per_level (see `_flatten`)."""
     cols = tuple(s for s in _SLOTS if s not in rows)
@@ -345,7 +344,7 @@ def _norm(ranks: dict, rows: tuple, per_level: bool = False, tol: float = NORM_T
         lone = (("level",) if per_level else ()) + (rows if len(rows) == 1 else cols)
         ids = _lex_ids([ranks[s] for s in lone], ranks["n"].size)
         return float(np.sqrt(np.bincount(ids).max(initial=0)))
-    return _flattening_norm(*_flatten(ranks, rows, per_level), tol)
+    return _flattening_norm(*_flatten(ranks, rows, per_level))
 
 
 def _attained_count(ri: np.ndarray, ci: np.ndarray, r_sum: np.ndarray,
@@ -375,7 +374,7 @@ def _attained_count(ri: np.ndarray, ci: np.ndarray, r_sum: np.ndarray,
     return None
 
 
-def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
+def _flattening_norm(ri: np.ndarray, ci: np.ndarray) -> float:
     """Largest singular value of the 0/1 matrix with ones at (ri[k], ci[k]).
 
     Rows and columns are numbered from 0 without gaps; no pair repeats.
@@ -389,7 +388,7 @@ def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
     that may beat the running maximum (by its Frobenius and Schur bounds)
     is power-iterated on its Gram matrix G from a positive v between the
     Collatz-Wielandt bounds sqrt(v.Gv/v.v) and sqrt(max_i (Gv)_i/v_i), to
-    relative width `tol` or until rounding stops the interval shrinking,
+    relative width NORM_TOL or until rounding stops the interval shrinking,
     and gives the lower end.  Entries are gathered only for the visited
     blocks, in runs of 1, 2, 4, ... blocks, one scan of the entries per
     run.  A block's value depends only on its entries in their given order,
@@ -451,7 +450,7 @@ def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
             r, c = c, r
         v = np.bincount(c).astype(np.float64)  # column sums: a positive start
         lo, hi, width = 0.0, float(bound[j]), np.inf
-        while best < hi and tol * hi < hi - lo < width:
+        while best < hi and NORM_TOL * hi < hi - lo < width:
             width = hi - lo
             w = np.bincount(c, weights=np.bincount(r, weights=v[c])[r])
             lo = max(lo, float(np.sqrt(v @ w / (v @ v))))
@@ -461,21 +460,19 @@ def _flattening_norm(ri: np.ndarray, ci: np.ndarray, tol: float) -> float:
     return best
 
 
-def matricization_norm(
-    tensor: SparseTensor, rows: tuple, certify: bool = False, tol: float = NORM_TOL
-) -> float:
+def matricization_norm(tensor: SparseTensor, rows: tuple, certify: bool = False) -> float:
     """Largest singular value of the tensor flattened to rows x columns.
 
     rows: slot names (subset of n, n1, n2, n3); the complement indexes
     the columns.  Exact (sqrt of an entry count) when one side is a single
     slot or a closed-form block wins, else the lower end of a certified
-    interval of relative width `tol` (default 1e-12) around the norm; see
+    interval of relative width NORM_TOL = 1e-12 around the norm; see
     `_flattening_norm`.  With certify=True a dense SVD of the full
     flattening cross-checks the value when neither side exceeds 2000 and
     raises AssertionError beyond 1e-10 relative.
     """
     ranks = _slot_ranks(tensor)
-    val = _norm(ranks, rows, tol=tol)
+    val = _norm(ranks, rows)
     if not certify:
         return val
     ri, ci = _flatten(ranks, rows)
@@ -754,7 +751,7 @@ def _count_norms(points: tuple, pairings: tuple) -> tuple:
             keep = np.any(n2 != n1, axis=1) & np.any(n2 != n3, axis=1)
             ri = place[kid[sel]][ci] * nz
             ri += nz - 1 - zi if lone == "n2" else zi
-            best = max(best, _flattening_norm(ri[keep], ci[keep], NORM_TOL))
+            best = max(best, _flattening_norm(ri[keep], ci[keep]))
         norms[rows] = best
         if lone == "n2":
             # {n}: the triples of mode n = p - n2 over the keys p = n1 + n3,

@@ -217,7 +217,7 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
         for j in (j for j, kc in enumerate(checkpoints) if kc == k):
             u = FourierField(lattice, c)
             obs[j, :, :lattice.n_modes] = np.abs(c) ** 2
-            obs[j, :, -2] = wick_potential(u, n_cut)
+            obs[j, :, -2] = wick_potential(u)
             obs[j, :, -1] = field_mass(u)
 
     base = obs[0]
@@ -496,7 +496,7 @@ def _suite_picard(seed: int) -> dict:
     path = NoisePath.generate(lattice, horizon, n_steps, seed=seed + 1)
     traj = evolve(phi, path, DynamicsConfig(gamma=gamma, renormalization="dynamic"))
     rem = extract_remainder(traj, phi, path)
-    pic = picard_remainder(linear_evolution(phi, path, gamma), gamma=gamma)
+    pic = picard_remainder(linear_evolution(phi, path, gamma))
     diff = np.sqrt((np.abs(pic.trajectory.coeffs - rem.coeffs) ** 2)
                    .sum(axis=1)).max()
     factor = max(pic.contraction_ratios) if pic.contraction_ratios else 0.0

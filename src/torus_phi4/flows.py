@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 MASS_BLOWUP_LIMIT = 1e8
+PICARD_MAX_ITER = 12  # Picard steps before picard_remainder gives up
+PICARD_TOL = 1e-10  # ell^2-in-time step size at which the iteration has converged
 
 
 class MassBlowUpError(RuntimeError):
@@ -339,20 +341,19 @@ def _duhamel_steps(
         yield out
 
 
-def duhamel(forcing: Trajectory, gamma: float | None = None) -> Trajectory:
-    """Retarded integral I(t) = int_0^t exp(-(gamma+i)(t-s)<n>^2) F(s) ds.
+def duhamel(forcing: Trajectory) -> Trajectory:
+    """Retarded integral I(t) = int_0^t exp(-(gamma+i)(t-s)<n>^2) F(s) ds,
+    with gamma the forcing trajectory's damping.
 
     Mode-wise recursion with exponential-trapezoid weights (the forcing
     is interpolated linearly on each step, the kernel integrated
     exactly); second-order accurate and exact for constant forcing.
     """
-    if gamma is None:
-        gamma = forcing.gamma
     out = np.zeros_like(forcing.coeffs)
-    for k, c in enumerate(_duhamel_steps(forcing.lattice, gamma, forcing.h,
+    for k, c in enumerate(_duhamel_steps(forcing.lattice, forcing.gamma, forcing.h,
                                          forcing.coeffs)):
         out[k + 1] = c
-    return Trajectory(forcing.lattice, forcing.times, out, gamma)
+    return Trajectory(forcing.lattice, forcing.times, out, forcing.gamma)
 
 
 @dataclass
@@ -363,25 +364,21 @@ class PicardResult:
     converged: bool
 
 
-def picard_remainder(
-    ansatz: Trajectory,
-    gamma: float | None = None,
-    max_iter: int = 12,
-    tol: float = 1e-10,
-) -> PicardResult:
+def picard_remainder(ansatz: Trajectory) -> PicardResult:
     """Solve the remainder integral equation by Picard iteration.
 
-    With b the linear ansatz and T/R the pairing-free and resonant
-    trilinear forms, the fixed-point map is
+    With b the linear ansatz at damping gamma and T/R the pairing-free and
+    resonant trilinear forms, the fixed-point map is
 
       v -> -(gamma+i) I[ T(v,v,v) + T(b,b,b) + 2 T(b,v,v)
              + T(v,b,v) + 2 T(v,b,b) + T(b,v,b) - R(b+v, b+v, b+v) ],
 
-    where I is the retarded linear integral.  Iteration starts at v = 0;
-    successive ell^2-in-time differences report the contraction factor.
+    where I is the retarded linear integral.  Iteration starts at v = 0
+    and stops after PICARD_MAX_ITER steps or once a step moves v by less
+    than PICARD_TOL; successive ell^2-in-time differences report the
+    contraction factor.
     """
-    if gamma is None:
-        gamma = ansatz.gamma
+    gamma = ansatz.gamma
     lat = ansatz.lattice
     b = ansatz.coeffs
     f_bbb = nonpairing_batch(lat, b, b, b)
@@ -391,7 +388,7 @@ def picard_remainder(
     ratios: list = []
     prev_diff = None
     converged = False
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         forcing = f_bbb.copy()
         forcing += nonpairing_batch(lat, v, v, v)
         forcing += 2.0 * nonpairing_batch(lat, b, v, v)
@@ -400,9 +397,7 @@ def picard_remainder(
         forcing += nonpairing_batch(lat, b, v, b)
         s = b + v
         forcing -= s * np.conj(s) * s
-        integrated = duhamel(
-            Trajectory(lat, ansatz.times, forcing, gamma), gamma
-        ).coeffs
+        integrated = duhamel(Trajectory(lat, ansatz.times, forcing, gamma)).coeffs
         v_new = -(gamma + 1j) * integrated
         diff = float(np.sqrt(np.mean(np.abs(v_new - v) ** 2)))
         residuals.append(diff)
@@ -410,7 +405,7 @@ def picard_remainder(
             ratios.append(diff / prev_diff)
         prev_diff = diff
         v = v_new
-        if diff < tol:
+        if diff < PICARD_TOL:
             converged = True
             break
     traj = Trajectory(lat, ansatz.times, v, gamma)

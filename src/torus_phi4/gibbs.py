@@ -6,7 +6,7 @@ u_hat(n) = g_n / <n>, so that E|u_hat(n)|^2 = <n>^{-2}.
 
 Two interaction potentials are provided:
 
-* `renormalized_potential`: Phi(u) = -(1/4) avg|u_N|^4 - mass(u_N)^2,
+* `renormalized_potential`: Phi(u) = -(1/4) avg|u|^4 - mass(u)^2,
   the sign-definite renormalized quartic interaction; the weight
   exp(Phi) is bounded by 1.
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierField, ModeLattice, project_leq
+from .spectral import FourierField, ModeLattice
 
 __all__ = [
     "sample_gff",
@@ -62,31 +62,28 @@ def sample_gff(lattice: ModeLattice, rng: np.random.Generator) -> FourierField:
     return FourierField(lattice, g / lattice.brackets)
 
 
-def renormalized_potential(u: FourierField, n_cut: float) -> float | np.ndarray:
-    """Phi_N(u) = -(1/4) avg|u_N|^4 - mass(u_N)^2 with u_N the <n><=N part.
+def renormalized_potential(u: FourierField) -> float | np.ndarray:
+    """Phi_N(u) = -(1/4) avg|u|^4 - mass(u)^2 at the lattice's cutoff N.
 
     A float for one field, an array of the leading shape for a stack.
     """
-    m2, m4 = u.lattice._moments(project_leq(u, n_cut).coeffs)
+    m2, m4 = u.lattice._moments(u.coeffs)
     phi = -0.25 * m4 - m2**2
     return float(phi) if phi.ndim == 0 else phi
 
 
-def wick_potential(u: FourierField, n_cut: float,
-                   sigma: float | None = None) -> float | np.ndarray:
-    """(1/4) avg(:|u_N|^4:) with the Wick constant of the same cutoff.
+def wick_potential(u: FourierField) -> float | np.ndarray:
+    """(1/4) avg(:|u|^4:) with the Wick constant of the lattice's cutoff.
 
     A float for one field, an array of the leading shape for a stack.
     """
-    if sigma is None:
-        sigma = mode_variance_sum(n_cut)
-    m2, m4 = u.lattice._moments(project_leq(u, n_cut).coeffs)
+    sigma = mode_variance_sum(u.lattice.n_cut)
+    m2, m4 = u.lattice._moments(u.coeffs)
     w = 0.25 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
     return float(w) if w.ndim == 0 else w
 
 
-def wick_action(u: FourierField, n_cut: float,
-                sigma: float | None = None) -> float | np.ndarray:
+def wick_action(u: FourierField) -> float | np.ndarray:
     """Dynamics-consistent Wick action 2*wick_potential (up to a constant).
 
     exp(-wick_action) d(gaussian) is the exact stationary law of the
@@ -94,7 +91,7 @@ def wick_action(u: FourierField, n_cut: float,
     relative to wick_potential comes from the complex-gradient pairing
     (avg|u|^4 has gradient 2|u|^2 u in conj(u_hat)).
     """
-    return 2.0 * wick_potential(u, n_cut, sigma)
+    return 2.0 * wick_potential(u)
 
 
 @dataclass
@@ -178,13 +175,12 @@ def sample_gibbs_pcn_chains(
 
 def check_exponential_moments(
     n_cuts: tuple = (4, 8, 16, 32),
-    p: float = 4.0,
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> dict:
     """Monte Carlo check of the weight-convergence properties.
 
-    Under the Gaussian measure: the L^p norms of exp(Phi_N) are all <= 1
+    Under the Gaussian measure: the L^4 norms of exp(Phi_N) are all <= 1
     (the potential is nonpositive), and the L^2 distances between
     consecutive weights exp(Phi_{2N}) - exp(Phi_N) decrease in N (Cauchy
     behaviour).  Returns the estimated moments and successive distances
@@ -203,15 +199,15 @@ def check_exponential_moments(
         g = rng.standard_normal((min(64, n_samples - start), 2, lat.n_modes))
         c = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0) / lat.brackets
         w[:, start:start + len(c)] = np.exp(
-            [renormalized_potential(FourierField(sub, c[:, i]), N)
-             for sub, i, N in zip(subs, index, n_cuts)])
-    moments, mom_sq = np.mean(w**p, axis=1), np.mean(w ** (2 * p), axis=1)
+            [renormalized_potential(FourierField(sub, c[:, i]))
+             for sub, i in zip(subs, index)])
+    moments, mom_sq = np.mean(w**4.0, axis=1), np.mean(w**8.0, axis=1)
     d = (w[1:] - w[:-1]) ** 2
     diffs, diff_sq = np.mean(d, axis=1), np.mean(d**2, axis=1)
     return {
         "n_cuts": n_cuts,
-        "p": p,
-        "lp_norms": moments ** (1.0 / p),
+        "p": 4.0,
+        "lp_norms": moments ** 0.25,
         "lp_se": np.sqrt(np.maximum(mom_sq - moments**2, 0.0) / n_samples),
         "l2_diffs": np.sqrt(diffs),
         "l2_diff_se": np.sqrt(np.maximum(diff_sq - diffs**2, 0.0) / n_samples)

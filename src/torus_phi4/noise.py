@@ -118,7 +118,3 @@ class NoisePath:
         if path.n_steps != n_steps:
             raise ValueError("n_steps must be base steps times a power of two")
         return path
-
-    def totals(self) -> np.ndarray:
-        """B_n(horizon): the summed increments per mode."""
-        return self.increments.sum(axis=0)

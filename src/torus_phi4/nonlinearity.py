@@ -18,8 +18,6 @@ pointwise product plus low-rank pairing corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectral import FourierField, ModeLattice
@@ -34,7 +32,6 @@ __all__ = [
     "renormalized_cubic",
     "wick_cubic",
     "conserved_energy",
-    "TrilinearSpec",
     "oracle_trilinear",
 ]
 
@@ -139,30 +136,15 @@ def conserved_energy(u: FourierField) -> float:
     return quad + 0.5 * quartic_mean(u) - mass(u) ** 2
 
 
-@dataclass(frozen=True)
-class TrilinearSpec:
-    """Which pairing exclusions a direct triple-sum evaluation applies.
-
-    exclude_12: drop terms with n2 == n1.
-    exclude_23: drop terms with n2 == n3.
-    only_diagonal: keep only n1 == n2 == n3 == n (the resonant term).
-    """
-
-    exclude_12: bool = True
-    exclude_23: bool = True
-    only_diagonal: bool = False
-
-
 ORACLE_MODE_LIMIT = 260  # direct triple sums are O(K^3); keep K small
 
 
 def oracle_trilinear(
-    spec: TrilinearSpec,
-    u1: FourierField,
-    u2: FourierField,
-    u3: FourierField,
+    u1: FourierField, u2: FourierField, u3: FourierField, *, pairing_free: bool
 ) -> FourierField:
-    """Direct triple-sum evaluation of the trilinear convolution.
+    """Direct triple-sum evaluation of the trilinear convolution: the
+    pairing-free form T, which drops the terms with n2 == n1 or n2 == n3,
+    when `pairing_free`, else the full convolution u1 conj(u2) u3.
 
     Independent of the transform pipeline: loops over (n1, n2) pairs and
     vectorizes over n3 with an index lookup for n = n1 - n2 + n3.  Guarded
@@ -173,8 +155,6 @@ def oracle_trilinear(
         raise ValueError(
             f"oracle restricted to lattices with <= {ORACLE_MODE_LIMIT} modes"
         )
-    if spec.only_diagonal:
-        return resonant(u1, u2, u3)
     modes = lat.modes
     K = lat.n_modes
     out = np.zeros(K, dtype=np.complex128)
@@ -182,14 +162,13 @@ def oracle_trilinear(
     for i1 in range(K):
         n1 = modes[i1]
         for i2 in range(K):
-            if spec.exclude_12 and i2 == i1:
+            if pairing_free and i2 == i1:
                 continue
             base = n1 - modes[i2]
             targets = base[None, :] + modes  # n = n1 - n2 + n3 over all n3
             idx = lat.index_of(targets)
             w = a1[i1] * a2[i2] * a3
-            if spec.exclude_23:
-                w = w.copy()
+            if pairing_free:
                 w[i2] = 0.0
             valid = idx >= 0
             np.add.at(out, idx[valid], w[valid])

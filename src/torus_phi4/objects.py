@@ -55,7 +55,7 @@ def build_bundle(phi: FourierField, path: NoisePath, gamma: float) -> ObjectBund
     lin = linear_evolution(phi, path, gamma)
     cub_coeffs = nonpairing_batch(path.lattice, lin.coeffs, lin.coeffs, lin.coeffs)
     cub = Trajectory(path.lattice, path.times, cub_coeffs, gamma)
-    return ObjectBundle(gamma, lin, cub, duhamel(cub, gamma))
+    return ObjectBundle(gamma, lin, cub, duhamel(cub))
 
 
 def _member_norms(

@@ -38,7 +38,6 @@ __all__ = [
     "bracket",
     "ModeLattice",
     "FourierField",
-    "project_leq",
     "sobolev_norm",
 ]
 
@@ -111,14 +110,6 @@ class ModeLattice:
         out = np.full(n.shape[:-1], -1, dtype=np.int64)
         out[inside] = self._lookup[ix[inside], iy[inside]]
         return out
-
-    def contains(self, n) -> np.ndarray:
-        return self.index_of(n) >= 0
-
-    def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical grid coordinates x_j = 2*pi*j/M, as a meshgrid pair."""
-        x = 2.0 * np.pi * np.arange(self.M) / self.M
-        return np.meshgrid(x, x, indexing="ij")
 
     def _workspace(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
         """The lattice's own work array `name` of `shape`, made on first use and
@@ -230,28 +221,6 @@ class FourierField:
     def to_physical(self) -> np.ndarray:
         """Evaluate u(x_j) = sum_n u_hat(n) e^{i n.x_j} on the M x M grid."""
         return self.lattice.to_grid(self.coeffs)
-
-    @classmethod
-    def from_physical(cls, lattice: ModeLattice, values: np.ndarray) -> "FourierField":
-        """Project grid values onto the retained modes (exact for band-limited data)."""
-        return cls(lattice, lattice.from_grid(values))
-
-    def __add__(self, other: "FourierField") -> "FourierField":
-        return FourierField(self.lattice, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "FourierField") -> "FourierField":
-        return FourierField(self.lattice, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "FourierField":
-        return FourierField(self.lattice, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-def project_leq(u: FourierField, n_cut: float) -> FourierField:
-    """Sharp projection onto modes with <n> <= n_cut (same lattice layout)."""
-    mask = u.lattice.brackets <= n_cut + 1e-12
-    return FourierField(u.lattice, np.where(mask, u.coeffs, 0.0))
 
 
 def sobolev_norm(u: FourierField, s: float) -> float:

@@ -53,6 +53,16 @@ __all__ = [
 ]
 
 
+ROLLOFF = 0.25  # fraction of a trajectory's span over which its window rises or falls
+PAD_FACTOR = 4  # zero padding of the twisted transform, in trajectory lengths
+LAM_SCALE = 60.0  # Cauchy scale of the frequencies in symbol_decay_sweep
+BRACKET_MAX = 16  # largest mode coordinate drawn by the symbol sweeps
+GAUSS_ORDER = 10  # Gauss-Legendre nodes per panel of the symbol quadrature
+L4_HORIZON = 1.0  # time span of the fields of l4_ratio_scan
+L4_N_STEPS = 256  # time steps of the fields of l4_ratio_scan
+L4_N_FREQS = 8  # temporal frequencies per mode of the fields of l4_ratio_scan
+
+
 # ---------------------------------------------------------------------------
 # smooth windows
 # ---------------------------------------------------------------------------
@@ -79,9 +89,9 @@ def smooth_bump(x: np.ndarray, lo: float, flat_lo: float,
     return up * down
 
 
-def trajectory_window(times: np.ndarray, rolloff: float = 0.25) -> np.ndarray:
+def trajectory_window(times: np.ndarray) -> np.ndarray:
     """Analysis window for a trajectory on [t0, t1]: identically 1 on the
-    central portion, smooth rolloff to 0 over the first and last ``rolloff``
+    central portion, smooth rolloff to 0 over the first and last ROLLOFF
     fraction of the interval.
 
     The trajectory is only known on its own time interval, so the window
@@ -91,7 +101,7 @@ def trajectory_window(times: np.ndarray, rolloff: float = 0.25) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     t0, t1 = float(t[0]), float(t[-1])
     span = t1 - t0
-    return smooth_bump(t, t0, t0 + rolloff * span, t1 - rolloff * span, t1)
+    return smooth_bump(t, t0, t0 + ROLLOFF * span, t1 - ROLLOFF * span, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +120,6 @@ class TwistedSpectrum:
     lambdas: np.ndarray        # (n_freq,) float, DFT grid (fftfreq order)
     values: np.ndarray         # (n_freq, n_modes) complex
     dlam: float
-    window_l2_sq: float        # h * sum_k chi(t_k)^2 (for reference)
 
     def weighted_sq(self, s: float, b: float) -> float:
         """dlam * sum <n>^{2s} <lam>^{2b} |F|^2."""
@@ -120,14 +129,14 @@ class TwistedSpectrum:
             "j,k,jk->", wl, wn, np.abs(self.values) ** 2))
 
 
-def twisted_transform(traj: Trajectory, rolloff: float = 0.25,
-                      pad_factor: int = 4) -> TwistedSpectrum:
+def twisted_transform(traj: Trajectory) -> TwistedSpectrum:
     """Windowed, twisted space-time transform of a uniformly sampled
     trajectory.
 
     Per mode n the free phase exp(-i t <n>^2) is removed by modulation
-    before a zero-padded DFT in time, so a solution of the linear
-    Schrodinger flow concentrates at lambda = 0 for every mode.
+    before a DFT in time, zero-padded to PAD_FACTOR times the trajectory's
+    length, so a solution of the linear Schrodinger flow concentrates at
+    lambda = 0 for every mode.
     """
     times = traj.times
     if len(times) < 2:
@@ -135,16 +144,15 @@ def twisted_transform(traj: Trajectory, rolloff: float = 0.25,
     h = float(times[1] - times[0])
     if not np.allclose(np.diff(times), h, rtol=0.0, atol=1e-9 * max(h, 1.0)):
         raise ValueError("twisted_transform requires a uniform time grid")
-    chi = trajectory_window(times, rolloff=rolloff)
+    chi = trajectory_window(times)
     q = traj.lattice.brackets.astype(float) ** 2
     twisted = traj.coeffs * np.exp(1j * np.outer(times, q)) * chi[:, None]
-    m = next_fast_len(pad_factor * len(times))
+    m = next_fast_len(PAD_FACTOR * len(times))
     spec = fft(twisted, n=m, axis=0) * (h / (2.0 * np.pi))
     lambdas = 2.0 * np.pi * fftfreq(m, d=h)
     dlam = 2.0 * np.pi / (m * h)
-    return TwistedSpectrum(
-        lattice=traj.lattice, lambdas=lambdas, values=spec, dlam=dlam,
-        window_l2_sq=float(h * np.sum(chi ** 2)))
+    return TwistedSpectrum(lattice=traj.lattice, lambdas=lambdas, values=spec,
+                           dlam=dlam)
 
 
 def xsb_norm(spec: TwistedSpectrum, s: float, b: float) -> float:
@@ -152,15 +160,16 @@ def xsb_norm(spec: TwistedSpectrum, s: float, b: float) -> float:
     return float(np.sqrt(spec.weighted_sq(s, b)))
 
 
-def sup_time_sobolev(traj: Trajectory, s: float,
-                     rolloff: float = 0.25) -> float:
+def sup_time_sobolev(traj: Trajectory, s: float) -> float:
     """sup over central-window times of the spatial H^s norm (the left side
     of the continuous-embedding check against xsb_norm with b > 1/2)."""
-    times = traj.times
-    chi = trajectory_window(times, rolloff=rolloff)
+    central = trajectory_window(traj.times) >= 1.0 - 1e-12
+    if not central.any():
+        raise ValueError("trajectory has no snapshot where its window is 1: "
+                         f"{traj.n_snapshots} snapshots leave the central "
+                         f"{1.0 - 2.0 * ROLLOFF:g} of its span empty")
     wn = traj.lattice.brackets.astype(float) ** (2.0 * s)
     sq = (np.abs(traj.coeffs) ** 2 * wn[None, :]).sum(axis=1)
-    central = chi >= 1.0 - 1e-12
     return float(np.sqrt(sq[central].max()))
 
 
@@ -184,9 +193,9 @@ def _phi1_series(z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _gauss_nodes(n_panels: int, order: int = 10):
+def _gauss_nodes(n_panels: int):
     """Composite Gauss-Legendre nodes/weights on [-2, 2]."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0, w0 = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     edges = np.linspace(-2.0, 2.0, n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -244,9 +253,7 @@ def _symbol_bound(gamma: float, q: float, lam: float, mu: float) -> float:
                             ja * (1.0 / jl ** 2 + 1.0 / jlm ** 2))
 
 
-def symbol_decay_sweep(n_points: int = 10_000, seed: int = 0,
-                       lam_scale: float = 60.0,
-                       bracket_max: int = 16) -> dict:
+def symbol_decay_sweep(n_points: int = 10_000, seed: int = 0) -> dict:
     """Random sweep of |K| against the decay bound.
 
     Returns the fitted constants (max and high quantiles of the ratio
@@ -256,10 +263,10 @@ def symbol_decay_sweep(n_points: int = 10_000, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     gammas = rng.uniform(0.0, 1.0, n_points)
-    ns = rng.integers(0, bracket_max + 1, (n_points, 2))
+    ns = rng.integers(0, BRACKET_MAX + 1, (n_points, 2))
     qs = 1.0 + (ns ** 2).sum(axis=1).astype(float)
-    lams = rng.standard_cauchy(n_points) * lam_scale
-    mus = rng.standard_cauchy(n_points) * lam_scale
+    lams = rng.standard_cauchy(n_points) * LAM_SCALE
+    mus = rng.standard_cauchy(n_points) * LAM_SCALE
     lams = np.clip(lams, -2e3, 2e3)
     mus = np.clip(mus, -2e3, 2e3)
     ratios = np.empty(n_points)
@@ -276,8 +283,7 @@ def symbol_decay_sweep(n_points: int = 10_000, seed: int = 0,
     }
 
 
-def symbol_lipschitz_sweep(n_points: int = 2000, seed: int = 1,
-                           bracket_max: int = 16) -> dict:
+def symbol_lipschitz_sweep(n_points: int = 2000, seed: int = 1) -> dict:
     """Random sweep of |K(gamma2) - K(gamma1)| / (|gamma2 - gamma1| <n>^2)."""
     rng = np.random.default_rng(seed)
     ratios = np.empty(n_points)
@@ -285,7 +291,7 @@ def symbol_lipschitz_sweep(n_points: int = 2000, seed: int = 1,
         g1, g2 = np.sort(rng.uniform(0.0, 1.0, 2))
         if g2 - g1 < 1e-6:
             g2 = g1 + 1e-6
-        n = rng.integers(0, bracket_max + 1, 2)
+        n = rng.integers(0, BRACKET_MAX + 1, 2)
         q = 1.0 + float((n ** 2).sum())
         lam = float(np.clip(rng.standard_cauchy() * 30.0, -500, 500))
         mu = float(np.clip(rng.standard_cauchy() * 30.0, -500, 500))
@@ -304,18 +310,17 @@ def symbol_lipschitz_sweep(n_points: int = 2000, seed: int = 1,
 # ---------------------------------------------------------------------------
 
 def _synthesize_trajectory(lattice: ModeLattice, mode_mask: np.ndarray,
-                           rng: np.random.Generator, horizon: float,
-                           n_steps: int, n_freqs: int = 8) -> Trajectory:
+                           rng: np.random.Generator) -> Trajectory:
     """Random field supported on the masked modes: a superposition of
     twisted exponentials u_hat(n, t) = e^{-i t <n>^2} sum_j c_{n j}
     e^{i t lam_j} with a few random temporal frequencies per mode."""
     q = lattice.brackets.astype(float) ** 2
-    times = np.linspace(0.0, horizon, n_steps + 1)
+    times = np.linspace(0.0, L4_HORIZON, L4_N_STEPS + 1)
     idx = np.flatnonzero(mode_mask)
     coeffs = np.zeros((len(times), lattice.n_modes), dtype=np.complex128)
-    lam = rng.uniform(-8.0, 8.0, (len(idx), n_freqs))
-    c = (rng.standard_normal((len(idx), n_freqs))
-         + 1j * rng.standard_normal((len(idx), n_freqs))) / np.sqrt(2.0)
+    lam = rng.uniform(-8.0, 8.0, (len(idx), L4_N_FREQS))
+    c = (rng.standard_normal((len(idx), L4_N_FREQS))
+         + 1j * rng.standard_normal((len(idx), L4_N_FREQS))) / np.sqrt(2.0)
     osc = np.exp(1j * times[:, None, None] * lam[None, :, :])  # (t, m, f)
     coeffs[:, idx] = (osc * c[None, :, :]).sum(axis=2)
     coeffs *= np.exp(-1j * np.outer(times, q))
@@ -332,8 +337,7 @@ def _l4_spacetime(traj: Trajectory, chi: np.ndarray) -> float:
 
 
 def l4_ratio_scan(ball_sizes=(1, 2, 4, 8, 16), ensemble: int = 8,
-                  seed: int = 0, horizon: float = 1.0,
-                  n_steps: int = 256) -> dict:
+                  seed: int = 0) -> dict:
     """Empirical L^4 space-time estimate for frequency-localized fields.
 
     For each spatial frequency ball (all modes with <n> <= N) draws random
@@ -350,8 +354,7 @@ def l4_ratio_scan(ball_sizes=(1, 2, 4, 8, 16), ensemble: int = 8,
         for member in range(ensemble):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, nc, member]))
-            traj = _synthesize_trajectory(lattice, mask, rng, horizon,
-                                          n_steps)
+            traj = _synthesize_trajectory(lattice, mask, rng)
             spec = twisted_transform(traj)
             denom = xsb_norm(spec, 0.0, 0.5)
             chi = trajectory_window(traj.times)

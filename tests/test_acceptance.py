@@ -40,7 +40,7 @@ from torus_phi4 import (
 )
 from torus_phi4.counting import SparseTensor, build_tensor, matricization_norm
 from torus_phi4.experiments import _SUITES, cmd_invariance, cmd_inviscid, cmd_smoothing
-from torus_phi4.nonlinearity import TrilinearSpec, oracle_trilinear
+from torus_phi4.nonlinearity import oracle_trilinear
 
 
 def _report(k: int, ok: bool, detail: str) -> None:
@@ -67,12 +67,10 @@ def test_criterion_01_nonlinearity_oracle():
             u = _random_field(lat, rng)
             n_fields += 1
             scale = max(np.max(np.abs(cubic(u).coeffs)), 1e-300)
-            full = oracle_trilinear(
-                TrilinearSpec(exclude_12=False, exclude_23=False), u, u, u)
+            full = oracle_trilinear(u, u, u, pairing_free=False)
             worst = max(worst, np.max(np.abs(cubic(u).coeffs - full.coeffs))
                         / scale)
-            np_oracle = oracle_trilinear(
-                TrilinearSpec(exclude_12=True, exclude_23=True), u, u, u)
+            np_oracle = oracle_trilinear(u, u, u, pairing_free=True)
             worst = max(worst, np.max(np.abs(nonpairing(u, u, u).coeffs
                                              - np_oracle.coeffs)) / scale)
             renorm_oracle = full.coeffs - 2.0 * mass(u) * u.coeffs

@@ -1,4 +1,4 @@
-"""Hermite polynomials, cell grids, multiple integrals, chaos objects."""
+"""Cell grids, multiple integrals, chaos objects."""
 
 import numpy as np
 import pytest
@@ -9,38 +9,11 @@ from torus_phi4 import (
     ModeLattice,
     NoisePath,
     cubic_via_chaos,
-    hermite,
     hypercontractivity_ratio,
     kernel_inner,
     multi_integral,
-    outer,
     symmetrize,
 )
-
-
-def test_hermite_low_orders():
-    x = np.linspace(-2, 2, 9)
-    for sigma in (1.0, 0.7):
-        np.testing.assert_allclose(hermite(0, x, sigma), np.ones_like(x))
-        np.testing.assert_allclose(hermite(1, x, sigma), x)
-        np.testing.assert_allclose(hermite(2, x, sigma), x**2 - sigma, atol=1e-13)
-        np.testing.assert_allclose(
-            hermite(3, x, sigma), x**3 - 3 * sigma * x, atol=1e-13
-        )
-
-
-def test_hermite_gaussian_orthogonality():
-    # E[H_j(g) H_k(g)] = delta_jk k! sigma^k for g ~ N(0, sigma)
-    from math import factorial
-
-    rng = np.random.default_rng(3)
-    sigma = 1.3
-    g = rng.standard_normal(200_000) * np.sqrt(sigma)
-    for j in range(4):
-        for k in range(4):
-            m = np.mean(hermite(j, g, sigma) * hermite(k, g, sigma))
-            expect = factorial(k) * sigma**k if j == k else 0.0
-            assert abs(m - expect) < 0.15 * max(1.0, sigma**k * 6)
 
 
 def _tiny_grid(n_cut=2, n_dyn=3):
@@ -87,11 +60,13 @@ def test_first_order_product_formula_pathwise():
     i1g = multi_integral(g, dB)
     # I1(f) I1(g) = I2(f (x) g) + sum_c f_c g_c dB_c^2
     lhs = i1f * i1g
-    rhs = multi_integral(outer(f, g), dB) + np.sum(f.values * g.values * dB**2)
+    fg = ChaosKernel(grid, np.multiply.outer(f.values, g.values))
+    rhs = multi_integral(fg, dB) + np.sum(f.values * g.values * dB**2)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
     # conjugated variant: I1(f) conj(I1(g)) pairs through |dB|^2
     lhs2 = i1f * np.conj(i1g)
-    rhs2 = multi_integral(outer(f, g, conj_second=True), dB) + np.sum(
+    fg_bar = ChaosKernel(grid, np.multiply.outer(f.values, np.conj(g.values)), (1, -1))
+    rhs2 = multi_integral(fg_bar, dB) + np.sum(
         f.values * np.conj(g.values) * np.abs(dB) ** 2
     )
     assert abs(lhs2 - rhs2) < 1e-12 * max(1.0, abs(lhs2))
@@ -193,5 +168,5 @@ def test_cubic_via_chaos_matches_dense_third_order_integral():
 def test_hypercontractivity_ratio_gaussian():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((200_000, 2))
-    ratios = hypercontractivity_ratio(g, p=4.0)
+    ratios = hypercontractivity_ratio(g)
     np.testing.assert_allclose(ratios, 3.0**0.25, rtol=0.02)

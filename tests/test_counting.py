@@ -20,7 +20,7 @@ from torus_phi4 import (
     verify_tensor_bounds,
 )
 from torus_phi4 import counting
-from torus_phi4.counting import (_FAM1, _FAM2, NORM_TOL, _attained_count, _flatten,
+from torus_phi4.counting import (_FAM1, _FAM2, _attained_count, _flatten,
                                  _flattening_norm, _lex_ids, _norm, _slot_ranks,
                                  _stable_order)
 from torus_phi4.spectral import bracket
@@ -352,7 +352,7 @@ def test_norms_never_call_np_unique(monkeypatch):
     tensors, want = [build_tensor(s) for s in triples], []
     for t in tensors:
         level = np.unique(t.levels, return_inverse=True)[1]
-        val = {(r, lv is None): _flattening_norm(*_reference_flatten(t, r, lv), NORM_TOL)
+        val = {(r, lv is None): _flattening_norm(*_reference_flatten(t, r, lv))
                for r in set(_FAM1 + _FAM2) for lv in (None, level)}
         want.append([{name: max(val[r, whole] for r in fam)
                       for name, fam in (("norm1", _FAM1), ("norm2", _FAM2))}
@@ -401,7 +401,7 @@ def test_lone_slot_norms_equal_block_norms_bit_for_bit(seed):
             rest = tuple(s for s in ("n", "n1", "n2", "n3") if s != slot)
             for rows in ((slot,), rest):
                 for per_level in (True, False):
-                    want = _flattening_norm(*_flatten(ranks, rows, per_level), NORM_TOL)
+                    want = _flattening_norm(*_flatten(ranks, rows, per_level))
                     assert _norm(ranks, rows, per_level) == want, (k, rows, per_level)
                 assert matricization_norm(tk, rows) == want  # the per_level=False value
 
@@ -464,9 +464,9 @@ def _record_flattening_norms(monkeypatch):
     through `_norm` take the resonant fiber, the others plain key blocks."""
     calls, resonant, flattening_norm, norm = [], [False], counting._flattening_norm, _norm
 
-    def recorded(ri, ci, tol):
+    def recorded(ri, ci):
         calls.append((ri.size, resonant[0]))
-        return flattening_norm(ri, ci, tol)
+        return flattening_norm(ri, ci)
 
     def resonant_norm(*args):
         resonant[0] = True
@@ -574,9 +574,9 @@ def test_count_plain_norms_take_a_split_key_block(monkeypatch):
     # components of norm 1
     calls, flattening_norm = [], counting._flattening_norm
 
-    def recorded(ri, ci, tol):
+    def recorded(ri, ci):
         calls.append((ri.copy(), ci.copy()))
-        return flattening_norm(ri, ci, tol)
+        return flattening_norm(ri, ci)
 
     monkeypatch.setattr(counting, "_flattening_norm", recorded)
     norms = _count_plain_norms(_SPLIT_BLOCK)
@@ -777,11 +777,11 @@ def test_flattening_norm_on_mixed_blocks():
     assert np.sqrt(12.0) < np.linalg.svd(general, compute_uv=False)[0] < 8.0
     # a general block wins: the norm of the whole is the certified value
     ri, ci, dense = _block_diagonal([row, general, ones, row.T], rng)
-    _assert_near_dense(_flattening_norm(ri, ci, 1e-12), dense, "general")
+    _assert_near_dense(_flattening_norm(ri, ci), dense, "general")
     # a closed-form block wins: the value is exactly sqrt(nnz)
     big = np.ones((7, 9))
     ri, ci, dense = _block_diagonal([general, big, row, ones], rng)
-    assert _flattening_norm(ri, ci, 1e-12) == np.sqrt(63.0)
+    assert _flattening_norm(ri, ci) == np.sqrt(63.0)
     _assert_near_dense(np.sqrt(63.0), dense, "all ones")
 
 
@@ -800,9 +800,9 @@ def test_flattening_norm_takes_each_block_in_its_given_order():
     for _ in range(8):
         order = rng.permutation(ri.size)
         r, c = ri[order], ci[order]
-        alone = [_flattening_norm(r[r // 40 == k] - 40 * k, c[r // 40 == k] - 50 * k,
-                                  1e-12) for k in range(6)]
-        whole = _flattening_norm(r, c, 1e-12)
+        alone = [_flattening_norm(r[r // 40 == k] - 40 * k, c[r // 40 == k] - 50 * k)
+                 for k in range(6)]
+        whole = _flattening_norm(r, c)
         assert whole == max(alone)
         values.add(whole)
     assert len(values) > 1
@@ -837,10 +837,10 @@ def test_attained_count_equals_block_path_bit_for_bit(seed, monkeypatch):
     ri, ci, dense = _block_diagonal([blocks[k] for k in rng.permutation(5)], rng)
     assert _attained_count(ri, ci, np.bincount(ri), np.bincount(ci)) == 35
     calls = _count_graph_searches(monkeypatch)
-    got = _flattening_norm(ri, ci, 1e-12)
+    got = _flattening_norm(ri, ci)
     assert calls == []
     monkeypatch.setattr(counting, "_attained_count", lambda *args: None)
-    assert got == _flattening_norm(ri, ci, 1e-12) == np.sqrt(35.0)
+    assert got == _flattening_norm(ri, ci) == np.sqrt(35.0)
     assert calls == [1]
     _assert_near_dense(got, dense, seed)
 
@@ -855,7 +855,7 @@ def test_attained_count_fails_on_a_pendant_of_the_heaviest_column(monkeypatch):
     ri, ci, dense = _block_diagonal([mat], np.random.default_rng(2))
     assert _attained_count(ri, ci, np.bincount(ri), np.bincount(ci)) is None
     calls = _count_graph_searches(monkeypatch)
-    val = _flattening_norm(ri, ci, 1e-12)
+    val = _flattening_norm(ri, ci)
     assert calls == [1]
     assert np.sqrt(12.0) < val < 4.0
     _assert_near_dense(val, dense, "pendant")
@@ -886,7 +886,7 @@ def test_open_blocks_are_gathered_as_visited(lead, monkeypatch):
     blocks = [big] * lead + [corner] * 300 + [np.ones((1, 1))] * 3000
     ri, ci, owner = _shuffled_blocks(blocks, np.random.default_rng(5))
     alone = [_flattening_norm(np.unique(ri[owner == b], return_inverse=True)[1],
-                              np.unique(ci[owner == b], return_inverse=True)[1], 1e-12)
+                              np.unique(ci[owner == b], return_inverse=True)[1])
              for b in range(lead + 300)]
     scans, keys = [], []
     flatnonzero, stable_order = np.flatnonzero, counting._stable_order
@@ -902,7 +902,7 @@ def test_open_blocks_are_gathered_as_visited(lead, monkeypatch):
 
     monkeypatch.setattr(np, "flatnonzero", counted_scan)
     monkeypatch.setattr(counting, "_stable_order", counted_sort)
-    whole = _flattening_norm(ri, ci, 1e-12)
+    whole = _flattening_norm(ri, ci)
     monkeypatch.undo()
     assert whole == max(alone)
     if lead:

@@ -276,7 +276,7 @@ def _invariance_oracle(cfg, seed):
         for j, k in enumerate(checkpoints):
             u = FourierField(lattice, traj.coeffs[k])
             obs[j, m, :lattice.n_modes] = np.abs(u.coeffs) ** 2
-            obs[j, m, -2] = wick_potential(u, n_cut)
+            obs[j, m, -2] = wick_potential(u)
             obs[j, m, -1] = mass(u)
     zs = []
     for j in (1, 2):

@@ -174,7 +174,7 @@ def test_picard_converges_to_extracted_remainder():
     traj = evolve(phi, path, DynamicsConfig(gamma, "dynamic"))
     rem = extract_remainder(traj, phi, path)
     base = linear_evolution(phi, path, gamma)
-    pic = picard_remainder(base, gamma=gamma)
+    pic = picard_remainder(base)
     assert pic.converged
     assert max(pic.contraction_ratios) < 1.0
     assert pic.residuals[-1] < pic.residuals[0]

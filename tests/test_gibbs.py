@@ -60,29 +60,14 @@ def test_potentials_single_mode_closed_form():
     r2 = abs(c) ** 2
     assert mass(u) == pytest.approx(r2, abs=1e-13)
     assert quartic_mean(u) == pytest.approx(r2**2, abs=1e-13)
-    assert renormalized_potential(u, 2) == pytest.approx(
+    assert renormalized_potential(u) == pytest.approx(
         -0.25 * r2**2 - r2**2, abs=1e-13
     )
-    sig = 1.7
-    assert wick_potential(u, 2, sig) == pytest.approx(
+    sig = 13.0 / 3.0  # mode_variance_sum(2), the lattice's own Wick constant
+    assert wick_potential(u) == pytest.approx(
         0.25 * (r2**2 - 4 * sig * r2 + 2 * sig**2), abs=1e-13
     )
-    assert wick_action(u, 2, sig) == pytest.approx(
-        2.0 * wick_potential(u, 2, sig), abs=1e-14
-    )
-
-
-def test_potential_cutoff_projects_first():
-    lat = ModeLattice(4)
-    rng = np.random.default_rng(3)
-    u = sample_gff(lat, rng)
-    from torus_phi4 import project_leq
-
-    uN = project_leq(u, 2)
-    assert renormalized_potential(u, 2) == pytest.approx(
-        renormalized_potential(uN, 2), abs=1e-13
-    )
-    assert wick_potential(u, 2) == pytest.approx(wick_potential(uN, 2), abs=1e-13)
+    assert wick_action(u) == pytest.approx(2.0 * wick_potential(u), abs=1e-14)
 
 
 def _radial_moment(phi_of_r2):
@@ -122,9 +107,9 @@ def test_pcn_chains_trace_is_mean_action(potential):
     assert len(res.fields) == 6 and res.n_steps == 300
     assert 0.0 < res.acceptance_rate < 1.0
     if potential == "wick":
-        actions = [wick_action(f, lat.n_cut) for f in res.fields]
+        actions = [wick_action(f) for f in res.fields]
     else:
-        actions = [-renormalized_potential(f, lat.n_cut) for f in res.fields]
+        actions = [-renormalized_potential(f) for f in res.fields]
     assert res.potential_trace[-1] == pytest.approx(np.mean(actions),
                                                     rel=1e-12, abs=1e-12)
 
@@ -216,10 +201,10 @@ def test_pcn_chains_equal_reference_sweep(potential, n_cut, n_chains, n_steps, s
     if potential == "wick":
         sigma = mode_variance_sum(n_cut)
         kernel = 0.5 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
-        scalar = [wick_action(f, n_cut) for f in res.fields]
+        scalar = [wick_action(f) for f in res.fields]
     else:
         kernel = 0.25 * m4 + m2**2
-        scalar = [-renormalized_potential(f, n_cut) for f in res.fields]
+        scalar = [-renormalized_potential(f) for f in res.fields]
     np.testing.assert_allclose(kernel, scalar, rtol=1e-12)
 
 

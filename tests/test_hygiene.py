@@ -2,7 +2,9 @@
 
 Pure ``ast`` checks, so they need no linter installed.  The package's
 ``__init__.py`` re-exports names by importing them and is exempt from the
-unused-import rule.  The package reads no numpy name that numpy 1.24, the
+unused-import rule; each name it re-exports is read by the package, a demo,
+the benchmark or the acceptance tests, bar a few oracles that only unit
+tests call.  The package reads no numpy name that numpy 1.24, the
 floor pyproject.toml allows, lacks.  Import-time checks follow: every name a demo imports
 from the package exists and takes the arguments the demo passes it, the
 package leaves ``scipy.sparse.csgraph`` unloaded, and the benchmark's
@@ -22,7 +24,8 @@ import torus_phi4
 
 PACKAGE = Path(torus_phi4.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -92,6 +95,63 @@ def test_all_names_exist(path):
 def test_checker_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c\n\nprint(b)\n")
     assert sorted(set(_imported_names(tree)) - _used_names(tree)) == ["c", "os"]
+
+
+# re-exported for unit tests alone: the oracles they compare against and a
+# helper that several test modules share
+_TEST_ONLY_EXPORTS = {"resonance_phase", "wick_action", "fiber", "sobolev_norm"}
+_PACKAGE_NAMES = frozenset({"torus_phi4"} | {p.stem for p in MODULES})
+
+
+def _reads(tree: ast.Module, packages: frozenset = _PACKAGE_NAMES) -> set:
+    """Names the module reads outside the definition that binds them: loaded
+    names, attributes of a name in `packages` and names imported from another
+    module, but not a function's or class's own name inside its body."""
+    reads = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in packages:
+            reads.update({node.attr} - inside)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(a.name for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def _reexports(tree: ast.Module) -> list:
+    """Names an ``__init__`` imports from its own package's modules."""
+    return [a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names]
+
+
+def test_every_export_is_read_outside_the_unit_tests():
+    # a public name whose only caller is its own unit test is dead API
+    readers = MODULES + DEMOS + sorted((ROOT / "perfbench").glob("*.py")) + [
+        ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*(_reads(ast.parse(p.read_text())) for p in readers))
+    exports = _reexports(ast.parse((PACKAGE / "__init__.py").read_text()))
+    unread = sorted(set(exports) - read - _TEST_ONLY_EXPORTS)
+    assert not unread, ("exports that no package module, demo, benchmark file "
+                        f"or acceptance test reads: {unread}")
+
+
+def test_checker_sees_an_export_read_only_by_itself():
+    assert _reexports(ast.parse("from .a import f, g as h\nfrom b import k\n")) == ["f", "h"]
+    tree = ast.parse("from m import g\n"
+                     "def f(x):\n    return f(x - 1) + x.h + m.k + np.outer(x, x)\n"
+                     "print(C)\n"
+                     "class C:\n    def m(self):\n        return C()\n"
+                     "z = 1\n")
+    assert _reads(tree, frozenset({"m"})) - {"x", "m", "np", "print"} == {"g", "k", "C"}
 
 
 # numpy 2 names that numpy 1.24 lacks, relative to the numpy package;

@@ -6,7 +6,7 @@ from torus_phi4.spectral import ModeLattice, FourierField
 from torus_phi4.nonlinearity import (mass, quartic_mean, cubic, resonant,
                                      nonpairing, renormalized_cubic,
                                      wick_cubic, conserved_energy,
-                                     oracle_trilinear, TrilinearSpec,
+                                     oracle_trilinear,
                                      nonpairing_batch)
 from torus_phi4.gibbs import mode_variance_sum
 
@@ -35,14 +35,13 @@ def test_transform_forms_match_oracle():
         lat = ModeLattice(n_cut)
         u1, u2, u3 = (random_field(lat, rng) for _ in range(3))
         fast = nonpairing(u1, u2, u3).coeffs
-        slow = oracle_trilinear(TrilinearSpec(
-            exclude_12=True, exclude_23=True), u1, u2, u3).coeffs
+        slow = oracle_trilinear(u1, u2, u3, pairing_free=True).coeffs
         scale = np.max(np.abs(slow)) or 1.0
         assert np.max(np.abs(fast - slow)) / scale < 1e-12
         # both kernel branches on one field: the same array in all three
         # slots (two transforms) and equal copies (the general four)
         c = u1.coeffs
-        slow_1 = oracle_trilinear(TrilinearSpec(), u1, u1, u1).coeffs
+        slow_1 = oracle_trilinear(u1, u1, u1, pairing_free=True).coeffs
         scale_1 = np.max(np.abs(slow_1))
         for fast_1 in (nonpairing_batch(lat, c, c, c),
                        nonpairing_batch(lat, c, c.copy(), c.copy())):
@@ -52,8 +51,7 @@ def test_transform_forms_match_oracle():
         slow_r = u1.coeffs * np.conj(u2.coeffs) * u3.coeffs
         assert np.max(np.abs(fast_r - slow_r)) / scale < 1e-12
         fast_c = cubic(u1).coeffs
-        slow_c = oracle_trilinear(TrilinearSpec(
-            exclude_12=False, exclude_23=False), u1, u1, u1).coeffs
+        slow_c = oracle_trilinear(u1, u1, u1, pairing_free=False).coeffs
         assert np.max(np.abs(fast_c - slow_c)) / scale < 1e-12
 
 

@@ -25,7 +25,7 @@ from torus_phi4.xsb import _reference_window
 
 def test_trajectory_window_shape():
     t = np.linspace(0.0, 1.0, 401)
-    chi = trajectory_window(t, rolloff=0.25)
+    chi = trajectory_window(t)
     assert chi[0] == 0.0 and chi[-1] == 0.0
     assert np.all((chi >= 0.0) & (chi <= 1.0))
     central = (t >= 0.25) & (t <= 0.75)
@@ -85,6 +85,13 @@ def test_sup_time_sobolev_matches_direct():
     sq = (np.abs(traj.coeffs) ** 2 * w[None, :]).sum(axis=1)
     direct = np.sqrt(sq[chi >= 1.0 - 1e-12].max())
     assert val == pytest.approx(direct, rel=1e-13)
+
+
+def test_sup_time_sobolev_rejects_a_trajectory_with_an_empty_window_core():
+    # two snapshots sit at the window's two zeros, so no time is central
+    traj = _random_traj(2, 1, n_steps=1)
+    with pytest.raises(ValueError, match="no snapshot where its window is 1"):
+        sup_time_sobolev(traj, 0.5)
 
 
 def _symbol_quad_oracle(gamma, q, lam, mu):
