@@ -37,7 +37,7 @@ import numpy as np
 from .gibbs import mode_variance_sum
 from .noise import NoisePath
 from .nonlinearity import mass, nonpairing_batch, renormalized_cubic, wick_cubic
-from .spectral import FourierField, ModeLattice
+from .spectral import FourierField, ModeLattice, _sq_norms
 
 __all__ = [
     "linear_evolution",
@@ -103,10 +103,16 @@ def _ou_steps(
     increments: Iterable
 ) -> Iterator[np.ndarray]:
     """The Ornstein-Uhlenbeck recursion from data c: yields the state after
-    each step of size h, each driven by one item of `increments`."""
+    each step of size h, each driven by one item of `increments` (at gamma
+    = 0, where the noise scale is zero, it only counts the steps).  The next
+    step may overwrite a yielded array, so linear_evolution copies each state
+    and the regularity scan uses it at once."""
     decay, scale = _ou_factors(lattice, gamma, h)
+    noisy = scale.any()
     for inc in increments:
-        c = decay * c + scale * inc
+        c = decay * c
+        if noisy:
+            c += scale * inc
         yield c
 
 
@@ -227,7 +233,7 @@ def lockstep(
         if cfg.nonlinearity_on:
             c = _nonlinear_substep(FourierField(lat, c), rot, h_damped, sigma, h)
         c = c * decay_half + scale * inc
-        m = np.sum(np.abs(c) ** 2, axis=-1).ravel()
+        m = _sq_norms(c).ravel()
         if np.any(m > MASS_BLOWUP_LIMIT):
             r = int(np.flatnonzero(m > MASS_BLOWUP_LIMIT)[0])
             raise MassBlowUpError(k, float(m[r]), r)
@@ -329,14 +335,20 @@ def _duhamel_steps(
 ) -> Iterator[np.ndarray]:
     """The exponential-trapezoid recursion of the retarded integral, from
     I(t_0) = 0: the items of `forcing` are F(t_0), F(t_1), ..., and each one
-    after the first yields I at its time."""
+    after the first yields I at its time.  I is updated in place, left to
+    right as decay*I + w_left*F(t_k) + w_right*F(t_k+1), whose bits it keeps:
+    the next step may overwrite a yielded array (duhamel copies each state).
+    No product is taken in place: numpy multiplies a one-element array in
+    place by a loop with other rounding."""
     decay = np.exp(-(gamma + 1j) * h * lattice.brackets**2)
     w_left, w_right = _duhamel_weights(lattice, gamma, h)
     forcing = iter(forcing)
     prev = next(forcing)
     out = np.zeros_like(prev)
+    term = np.empty_like(out)
     for f in forcing:
-        out = decay * out + w_left * prev + w_right * f
+        np.add(np.multiply(decay, out, out=term), w_left * prev, out=out)
+        out += w_right * f
         prev = f
         yield out
 

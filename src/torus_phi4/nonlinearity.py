@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import FourierField, ModeLattice
+from .spectral import FourierField, ModeLattice, _sq_norms
 
 __all__ = [
     "mass",
@@ -41,7 +41,7 @@ def mass(u: FourierField) -> float | np.ndarray:
 
     A float for one field, an array of the leading shape for a stack.
     """
-    m = np.sum(np.abs(u.coeffs) ** 2, axis=-1)
+    m = _sq_norms(u.coeffs)[..., 0, 0]
     return float(m) if m.ndim == 0 else m
 
 
@@ -97,8 +97,9 @@ def nonpairing_batch(
     do the work of four.
     """
     if c1 is c2 is c3:
-        m = np.sum(np.abs(c1) ** 2, axis=-1, keepdims=True)
-        return _cube(lat, c1) - 2.0 * m * c1 + np.abs(c1) ** 2 * c1
+        cube = _cube(lat, c1)
+        cube += (c1.real**2 + c1.imag**2 - 2.0 * _sq_norms(c1)[..., 0]) * c1  # (|c|^2 - 2m) c
+        return cube
     w = lat.to_grid(c1)
     g = lat.to_grid(c2)
     w *= np.conjugate(g, out=g)

@@ -69,16 +69,17 @@ def _member_norms(
     """Time-averaged squared H^s norms of the three objects for one member.
 
     The data are the rng's GFF draw and, at gamma > 0, the path its next
-    normals make.  The recursions are streamed step by step; only
-    O(n_modes) state is kept.
+    normals make.  The recursions are streamed step by step, each state
+    tallied as it comes; only O(n_modes) state is kept.
     """
     h = horizon / n_steps
-    w_s = lattice.brackets ** (2.0 * s)
+    w_s = np.repeat(lattice.brackets ** (2.0 * s), 2)  # one weight per (re, im) entry
     acc = {"linear": 0.0, "cubic": 0.0, "integrated_cubic": 0.0}
 
     def tally(name, states):
         for c in states:
-            acc[name] += float(np.sum(w_s * np.abs(c) ** 2))
+            p = c.view(np.float64)
+            acc[name] += float(p @ (w_s * p))
             yield c
 
     lin = sample_gff(lattice, rng).coeffs

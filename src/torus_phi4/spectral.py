@@ -9,18 +9,24 @@ of |u_hat(n)|^2 (Plancherel with the normalized measure).
 The attached physical grid has M >= 4*n_max + 1 points per direction, so
 grid products of up to four lattice fields are alias-free on the retained
 modes.  All transforms are exact up to floating point roundoff.  Grids of
-up to DFT_MATRIX_MAX_M points a side transform by two dense DFT products per
-field, with no FFT call; larger ones by band-pruned FFTs, in which only the
+up to DFT_MATRIX_MAX_M points a side transform with no FFT call, by two real
+GEMMs per field on the float64 (re, im) view: the frequency block, its rows
+the y-frequencies, times the real form [[Re A, Im A], [-Im A, Re A]] of the
+DFT matrix A, a transposing copy, and the same product again.  The field
+stack is a stacked matmul, one BLAS call per row and pass, so each row gets
+the bits it gets alone; one GEMM over the stack would tie them to how the
+BLAS tiles it.  Larger grids transform by band-pruned FFTs, in which only the
 2*n_max + 1 grid columns that can hold a retained mode enter the x-pass.
 
 Each lattice owns the work arrays of its transforms (the zero-padded
-coefficients, the frequency band or block and the half-transformed stack), of
-the pointwise steps of the cubic kernels (a real grid for |u|^2, a complex one
-for a phase) and of the moment kernel _moments (mass and quartic mean per row,
-the pCN sampler's one transform a step), one per name and stack shape, made on
-first use and kept as long as the lattice.  Every pass runs in place on one of
-them or on the grid being returned, so a transform allocates only its result
-(from_grid also its first pass, since it leaves its argument as it is).
+coefficients, the frequency band or block, the half-transformed stack and its
+transpose), of the pointwise steps of the cubic kernels (a real grid for
+|u|^2, a complex one for a phase) and of the moment kernel _moments (mass and
+quartic mean per row, the pCN sampler's one transform a step), one per name
+and stack shape, made on first use and kept as long as the lattice.  Every
+pass runs in place on one of them or on the grid being returned, so a
+transform allocates only its result (the FFT from_grid also its first pass,
+since it leaves its argument as it is).
 Without them a call's temporaries at N = 64 outgrow glibc's heap trim
 threshold (twice the largest block freed so far): what a call frees goes back
 to the operating system, and the next call faults every page of it in again.
@@ -52,6 +58,23 @@ def bracket(n) -> np.ndarray:
     """
     n = np.asarray(n, dtype=np.float64)
     return np.sqrt(1.0 + np.sum(n * n, axis=-1))
+
+
+def _real_block(a: np.ndarray) -> np.ndarray:
+    """[[Re A, Im A], [-Im A, Re A]] with rows and columns interleaved as (re, im)
+    pairs: the float64 view of a complex row times it is the row times A."""
+    p, q = a.shape
+    r = np.empty((p, 2, q, 2))
+    r[:, 0, :, 0] = r[:, 1, :, 1] = a.real
+    r[:, 0, :, 1], r[:, 1, :, 0] = a.imag, -a.imag
+    return r.reshape(2 * p, 2 * q)
+
+
+def _sq_norms(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum |c|^2 over the last axis, of shape c.shape[:-1] + (1, 1): per row the
+    dot product of its (re, im) pairs with itself, one BLAS call per row."""
+    p = np.ascontiguousarray(c, np.complex128).view(np.float64)
+    return np.matmul(p[..., None, :], p[..., :, None], out=out)
 
 
 class ModeLattice:
@@ -86,15 +109,17 @@ class ModeLattice:
             self.n_modes
         )
         self._lookup = tbl
-        # Small grids transform by F[j, k] = e^{i k x_j} and conj(F)/M on a
-        # (side, side) block, larger ones by FFTs on an (M, side) band; both hold
-        # the frequencies -n_max..n_max in FFT order 0..n_max, -n_max..-1.
-        self._dft, self._band_shape = None, (self.M, side)
+        # Small grids transform a (side, side) block in (y, x) frequency order
+        # by the real forms of F.T and conj(F)/M, F[j, k] = e^{i k x_j}; larger
+        # ones by FFTs on an (M, side) band in (x, y) order.  Both hold the
+        # frequencies -n_max..n_max in FFT order 0..n_max, -n_max..-1.
+        self._dft, self._band_shape, block = None, (self.M, side), self.modes
         if self.M <= DFT_MATRIX_MAX_M:
             k = np.roll(coords, -n_max)
             f = np.exp(2j * np.pi / self.M * np.outer(np.arange(self.M), k))
-            self._dft, self._band_shape = (f, f.conj() / self.M), (side, side)
-        self._band_index = np.ravel_multi_index((self.modes % self._band_shape).T, self._band_shape)
+            self._dft = _real_block(f.T), _real_block(f.conj() / self.M)
+            self._band_shape, block = (side, side), self.modes[:, ::-1]
+        self._band_index = np.ravel_multi_index((block % self._band_shape).T, self._band_shape)
         # band position -> mode index, or n_modes (to_grid's zero pad) where no mode sits
         self._band_gather = np.full(np.prod(self._band_shape), self.n_modes)
         self._band_gather[self._band_index] = np.arange(self.n_modes)
@@ -135,9 +160,7 @@ class ModeLattice:
         band = self._workspace("band", lead + self._band_shape)
         pad.take(self._band_gather, axis=-1, out=band.reshape(lead + (-1,)), mode="clip")
         if self._dft is not None:
-            f = self._dft[0]
-            half = np.matmul(band, f.T, out=self._workspace("half", band.shape[:-1] + (M,)))
-            return f @ half
+            return self._real_passes(band, self._dft[0], np.empty(lead + (M, M), np.complex128))
         band = ifft2(band, axes=(-2,), norm="forward", overwrite_x=True)
         grid = np.empty(lead + (M, M), dtype=np.complex128)
         grid[..., :lo] = band[..., :lo]
@@ -156,14 +179,26 @@ class ModeLattice:
         lead, M = coeffs.shape[:-1], self.M
         m2 = self._workspace("m2", lead + (1, 1), np.float64)
         m4 = self._workspace("m4", lead + (1, 1), np.float64)
-        pairs = np.ascontiguousarray(coeffs, np.complex128).view(np.float64)
-        np.matmul(pairs[..., None, :], pairs[..., None], out=m2)
+        _sq_norms(coeffs, out=m2)
         grid = self.to_grid(coeffs)
-        grid *= grid
-        q = grid.reshape(lead + (-1,)).view(np.float64)
-        np.matmul(q[..., None, :], q[..., None], out=m4)
+        # out of place: numpy squares a short array in place by a loop whose
+        # bits depend on where in the stack the row sits
+        sq = np.multiply(grid, grid, out=self._workspace("grid", grid.shape))
+        _sq_norms(sq.reshape(lead + (-1,)), out=m4)
         m4 /= M * M
         return m2.reshape(lead), m4.reshape(lead)
+
+    def _real_passes(self, x: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = (x A)^T A for each matrix of the complex stack x, `a` the real form
+        of A: two stacked real GEMMs from the right with a transposing copy between
+        (to_grid and from_grid share the two half-transformed work arrays)."""
+        lead, p, q = x.shape[:-2], x.shape[-2], a.shape[1] // 2
+        half = self._workspace("half", lead + (p, q))
+        np.matmul(x.view(np.float64), a, out=half.view(np.float64))
+        turned = self._workspace("half", lead + (q, p))  # half itself only if p = q = 1
+        np.copyto(turned, half.swapaxes(-1, -2))
+        np.matmul(turned.view(np.float64), a, out=out.view(np.float64))
+        return out
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of grid values w[..., M, M].
@@ -178,9 +213,8 @@ class ModeLattice:
         """from_grid; with `overwrite` the y-pass may run in place on `values`."""
         lead, M, lo = values.shape[:-2], self.M, self.n_max + 1
         if self._dft is not None:
-            f = self._dft[1]
-            half = np.matmul(values, f, out=self._workspace("half", lead + (M, f.shape[1])))
-            band = np.matmul(f.T, half, out=self._workspace("band", lead + self._band_shape))
+            band = self._real_passes(np.ascontiguousarray(values, np.complex128), self._dft[1],
+                                     self._workspace("band", lead + self._band_shape))
         else:
             spec = fft2(values, axes=(-1,), norm="forward", overwrite_x=overwrite)
             band = self._workspace("band", lead + self._band_shape)

@@ -25,7 +25,8 @@ from torus_phi4 import (
     sample_gff,
     sobolev_norm,
 )
-from torus_phi4.flows import MASS_BLOWUP_LIMIT
+from torus_phi4.flows import (MASS_BLOWUP_LIMIT, _duhamel_steps, _duhamel_weights,
+                              _ou_factors, _ou_steps)
 
 
 def _gff(n_cut, seed):
@@ -151,6 +152,31 @@ def test_duhamel_second_order_for_smooth_forcing():
     e1 = np.linalg.norm(run(32) - ref)
     e2 = np.linalg.norm(run(64) - ref)
     assert 3.3 < e1 / e2 < 4.7
+
+
+@pytest.mark.parametrize("n_cut", [1, 4])
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_step_generators_keep_the_bits_of_their_formulas(n_cut, gamma):
+    # the Duhamel state is updated in place and the OU noise term is left out
+    # at gamma = 0 (zero times the increment), yet both must keep the bits of
+    # the out-of-place expressions, evaluated left to right, also on the
+    # one-mode lattice, where numpy multiplies in place by another loop
+    lat, h = ModeLattice(n_cut), 0.01
+    rng = np.random.default_rng(17)
+    shape = (25, lat.n_modes)
+    forcing = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    decay = np.exp(-(gamma + 1j) * h * lat.brackets**2)
+    w_left, w_right = _duhamel_weights(lat, gamma, h)
+    out = np.zeros(lat.n_modes, dtype=np.complex128)
+    for prev, f, got in zip(forcing, forcing[1:], _duhamel_steps(lat, gamma, h, forcing)):
+        out = decay * out + w_left * prev + w_right * f
+        assert np.array_equal(got, out)
+
+    _, scale = _ou_factors(lat, gamma, h)
+    c = forcing[0]
+    for inc, got in zip(forcing[1:], _ou_steps(lat, gamma, h, forcing[0], forcing[1:])):
+        c = decay * c + scale * inc
+        assert np.array_equal(got, c)
 
 
 def test_extract_remainder_starts_at_zero_and_subtracts():

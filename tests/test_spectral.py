@@ -196,6 +196,22 @@ def _transforms(lat, c, w):
     return lat.to_grid(c), lat.from_grid(w), nonpairing_batch(lat, c, c, c)
 
 
+@pytest.mark.parametrize("n_cut", [1, 2, 4, 8, *SWITCH_SIDES])
+def test_every_row_of_a_stack_gets_its_bits_alone(n_cut):
+    # the DFT kernel makes one BLAS call per row and pass, and the per-row
+    # norms one dot product per row, so no row's bits depend on the stack
+    lat = ModeLattice(n_cut)
+    rng = np.random.default_rng(int(4 * n_cut) + 5)
+    for rows in (1, 2, 3, 7, 16, 33):
+        c = rng.standard_normal((rows, lat.n_modes)) + 1j * rng.standard_normal((rows, lat.n_modes))
+        w = rng.standard_normal((rows, lat.M, lat.M)) + 1j * rng.standard_normal((rows, lat.M, lat.M))
+        stacked = [a.copy() for a in (*_transforms(lat, c, w), *lat._moments(c))]
+        for i in range(rows):
+            alone = (*_transforms(lat, c[i], w[i]), *lat._moments(c[i]))
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a[i], b)
+
+
 @pytest.mark.parametrize("n_cut", [8, SWITCH_SIDES[1]])
 def test_workspaces_are_invisible(n_cut):
     # one lattice fed alternating stack shapes, interleaved with a second
