@@ -187,15 +187,18 @@ def _nonlinear_substep(
         v = FourierField(lat, u.coeffs[rot])
         m = sigma if sigma is not None else mass(v)[:, None, None]
         w = v.to_physical()
-        a = np.abs(w, out=lat._workspace("real", w.shape, np.float64))
+        plan = lat._plan(w.shape[:-2])
+        a = np.abs(w, out=plan.real)
         a *= a
         a -= 2.0 * m
         # every output is named, whatever the stack's size: numpy multiplies
         # into an unnamed temporary only above 256 KB, with a loop whose last
-        # bits differ from the one a row alone would take
-        phase = np.multiply(-1j * h, a, out=lat._workspace("grid", w.shape))
-        w *= np.exp(phase, out=phase)
-        out[rot] = lat._from_grid(w, overwrite=True)
+        # bits differ from the one a row alone would take; and the rotation is
+        # out of place, since numpy multiplies a one-point grid in place by a
+        # loop with other rounding
+        phase = np.multiply(-1j * h, a, out=plan.grid)
+        rotated = np.multiply(w, np.exp(phase, out=phase), out=plan.grid2)
+        out[rot] = plan.from_grid(rotated, overwrite=True)
     if not rot.all():
         v = FourierField(lat, u.coeffs[~rot])
         drift = wick_cubic(v, sigma) if sigma is not None else renormalized_cubic(v)
@@ -218,7 +221,10 @@ def lockstep(
     lat = phi.lattice
     gamma = np.asarray(cfg.gamma, dtype=np.float64)
     shape = np.broadcast_shapes(phi.coeffs.shape[:-1], gamma.shape)
-    g = gamma[..., None]
+    # one axis per stack axis: numpy multiplies a broadcast one-element array
+    # by a scalar loop with other rounding, so a one-row, one-mode stack must
+    # meet same-shaped factors
+    g = gamma.reshape((1,) * (len(shape) - gamma.ndim) + gamma.shape + (1,))
     decay_half = np.exp(-(g + 1j) * (h / 2.0) * lat.brackets**2)
     _, scale = _ou_factors(lat, g, h)
     rows = np.broadcast_to(gamma, shape)

@@ -119,10 +119,14 @@ def sample_gibbs_pcn_chains(
     fresh free-field draw and 0 < beta <= 1, is reversible for the Gaussian,
     so the acceptance ratio involves only the action difference.  Every
     returned field is the endpoint of its own chain, so the samples are
-    independent, unlike thinned states of one slowly mixing chain.  A step
-    draws into fixed buffers, forms the proposal in place and evaluates all
-    chains' actions by one moment kernel call on one to_grid transform (two
-    DFT products up to N = 16, batched FFTs above), allocating only its grid.
+    independent, unlike thinned states of one slowly mixing chain.  The
+    moment kernel of the chains' stack shape is fetched once, before the first
+    step, so a step makes only RNG, elementwise, copy and BLAS calls: it draws
+    into fixed buffers, forms the proposal in place, evaluates all chains'
+    actions by one kernel call (one transform into the kernel's own grid: two
+    real GEMMs per chain up to N = 16, batched FFTs above), accepts in place
+    and adds the acceptances and the summed action to per-chain and per-step
+    tallies.  Up to N = 16 it allocates no array.
     """
     if potential == "wick":
         sigma = mode_variance_sum(lattice.n_cut)
@@ -152,25 +156,27 @@ def sample_gibbs_pcn_chains(
     scale = np.repeat(1.0 / (np.sqrt(2.0) * lattice.brackets), 2)
     phi_u, phi_p, log_r, gap = (np.empty(n_chains) for _ in range(4))
     acc = np.empty(n_chains, bool)
+    acc_rows, accepted = acc[:, None], np.zeros(n_chains, np.int64)
+    moments = lattice._plan((n_chains,)).moments
     np.multiply(rng.standard_normal(out=normals), scale, out=u_)
-    phi(*lattice._moments(u), phi_u)
+    phi(*moments(u), phi_u)
     sq = np.sqrt(1.0 - beta**2)
-    accepted = 0
     trace = np.empty(n_steps)
-    for k in range(n_steps):
+    for total in trace.reshape(n_steps, 1):
         np.multiply(rng.standard_normal(out=normals), scale, out=w_)
         w_ *= beta
         np.multiply(u_, sq, out=prop_)
         prop_ += w_
-        phi(*lattice._moments(prop), phi_p)
+        phi(*moments(prop), phi_p)
         np.log(rng.random(out=log_r), out=log_r)
         np.less(log_r, np.subtract(phi_u, phi_p, out=gap), out=acc)
-        np.copyto(u, prop, where=acc[:, None])
+        np.copyto(u, prop, where=acc_rows)
         np.copyto(phi_u, phi_p, where=acc)
-        accepted += np.count_nonzero(acc)
-        trace[k] = phi_u.sum() / n_chains
+        accepted += acc
+        np.add.reduce(phi_u, keepdims=True, out=total)
+    trace /= n_chains
     fields = [FourierField(lattice, u[k].copy()) for k in range(n_chains)]
-    return PCNResult(fields, accepted / (n_steps * n_chains), trace, beta, n_steps)
+    return PCNResult(fields, int(accepted.sum()) / (n_steps * n_chains), trace, beta, n_steps)
 
 
 def check_exponential_moments(

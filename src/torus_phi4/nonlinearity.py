@@ -57,7 +57,7 @@ def quartic_mean(u: FourierField) -> float | np.ndarray:
 def _cube(lat: ModeLattice, c: np.ndarray) -> np.ndarray:
     """Coefficients of |u|^2 u for u with coefficients c[..., n_modes] (alias-free)."""
     w = lat.to_grid(c)
-    a = np.abs(w, out=lat._workspace("real", w.shape, np.float64))
+    a = np.abs(w, out=lat._plan(c.shape[:-1]).real)
     a *= a
     w *= a
     return lat._from_grid(w, overwrite=True)

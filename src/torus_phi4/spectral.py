@@ -18,16 +18,20 @@ the bits it gets alone; one GEMM over the stack would tie them to how the
 BLAS tiles it.  Larger grids transform by band-pruned FFTs, in which only the
 2*n_max + 1 grid columns that can hold a retained mode enter the x-pass.
 
-Each lattice owns the work arrays of its transforms (the zero-padded
-coefficients, the frequency band or block, the half-transformed stack and its
-transpose), of the pointwise steps of the cubic kernels (a real grid for
-|u|^2, a complex one for a phase) and of the moment kernel _moments (mass and
-quartic mean per row, the pCN sampler's one transform a step), one per name
-and stack shape, made on first use and kept as long as the lattice.  Every
-pass runs in place on one of them or on the grid being returned, so a
+Each lattice keeps one plan (_Plan) per stack shape, the leading axes of the
+fields, made on first use and kept as long as the lattice.  It holds the work
+arrays of the transforms (the zero-padded coefficients, whose pad column is
+zeroed once, the frequency band or block, and the two half-transformed stacks
+between the DFT passes) with their float64 and transposed views, the
+grid-sized scratch of the cubic kernels and the gamma = 0 rotation (a real
+grid for |u|^2 and two complex grids), and the outputs of the moment kernel
+_moments (mass and quartic mean per row, the pCN sampler's one transform a
+step).  A call looks up its plan and then makes numerical calls only.
+Every pass runs in place on a plan array or on the grid being returned, so a
 transform allocates only its result (the FFT from_grid also its first pass,
-since it leaves its argument as it is).
-Without them a call's temporaries at N = 64 outgrow glibc's heap trim
+since it leaves its argument as it is), and the moment kernel, which
+transforms into its plan's grid, allocates no array on the DFT side.
+Without the plans a call's temporaries at N = 64 outgrow glibc's heap trim
 threshold (twice the largest block freed so far): what a call frees goes back
 to the operating system, and the next call faults every page of it in again.
 A lattice is therefore not safe to share between threads.
@@ -36,6 +40,7 @@ A lattice is therefore not safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
@@ -123,7 +128,7 @@ class ModeLattice:
         # band position -> mode index, or n_modes (to_grid's zero pad) where no mode sits
         self._band_gather = np.full(np.prod(self._band_shape), self.n_modes)
         self._band_gather[self._band_index] = np.arange(self.n_modes)
-        self._work = {}  # (name, shape) -> work array; see _workspace
+        self._plans = {}  # leading stack shape -> _Plan
 
     def index_of(self, n) -> np.ndarray:
         """Indices of modes `n` (shape (...,2)); -1 where not retained."""
@@ -136,13 +141,12 @@ class ModeLattice:
         out[inside] = self._lookup[ix[inside], iy[inside]]
         return out
 
-    def _workspace(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        """The lattice's own work array `name` of `shape`, made on first use and
-        handed out again, contents undefined, to every later call that asks."""
-        buf = self._work.get((name, shape))
-        if buf is None:
-            buf = self._work[name, shape] = np.empty(shape, dtype)
-        return buf
+    def _plan(self, lead: tuple) -> "_Plan":
+        """The lattice's plan for stacks of leading shape `lead`, made on first use."""
+        plan = self._plans.get(lead)
+        if plan is None:
+            plan = self._plans[lead] = _Plan(self, lead)
+        return plan
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values u(x_j) = sum_n u_hat(n) e^{i n.x_j} of c[..., n_modes].
@@ -152,53 +156,15 @@ class ModeLattice:
         Small grids: F B F^T on each field's frequency block B.  Large grids:
         the x-pass runs on the band columns only, the y-pass on every row.
         """
-        lead, M, lo = coeffs.shape[:-1], self.M, self.n_max + 1
-        # every band position takes its mode from c padded by one zero
-        pad = self._workspace("pad", lead + (self.n_modes + 1,))
-        pad[..., :-1] = coeffs
-        pad[..., -1] = 0.0
-        band = self._workspace("band", lead + self._band_shape)
-        pad.take(self._band_gather, axis=-1, out=band.reshape(lead + (-1,)), mode="clip")
-        if self._dft is not None:
-            return self._real_passes(band, self._dft[0], np.empty(lead + (M, M), np.complex128))
-        band = ifft2(band, axes=(-2,), norm="forward", overwrite_x=True)
-        grid = np.empty(lead + (M, M), dtype=np.complex128)
-        grid[..., :lo] = band[..., :lo]
-        grid[..., lo:M - self.n_max] = 0.0
-        grid[..., M - self.n_max:] = band[..., lo:]
-        return ifft2(grid, axes=(-1,), norm="forward", overwrite_x=True)
+        lead = coeffs.shape[:-1]
+        return self._plan(lead).to_grid(coeffs, np.empty(lead + (self.M, self.M), np.complex128))
 
     def _moments(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mass sum |c|^2 and grid mean |u|^4 = |u^2|^2 of each row of c[..., K],
-        as dot products of the (re, im) pairs with themselves: no square root.
-
-        Both are lattice-owned arrays of the leading shape, overwritten by the
-        next call and free for the caller to use as scratch until then; the
-        call allocates only to_grid's result.
-        """
-        lead, M = coeffs.shape[:-1], self.M
-        m2 = self._workspace("m2", lead + (1, 1), np.float64)
-        m4 = self._workspace("m4", lead + (1, 1), np.float64)
-        _sq_norms(coeffs, out=m2)
-        grid = self.to_grid(coeffs)
-        # out of place: numpy squares a short array in place by a loop whose
-        # bits depend on where in the stack the row sits
-        sq = np.multiply(grid, grid, out=self._workspace("grid", grid.shape))
-        _sq_norms(sq.reshape(lead + (-1,)), out=m4)
-        m4 /= M * M
-        return m2.reshape(lead), m4.reshape(lead)
-
-    def _real_passes(self, x: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = (x A)^T A for each matrix of the complex stack x, `a` the real form
-        of A: two stacked real GEMMs from the right with a transposing copy between
-        (to_grid and from_grid share the two half-transformed work arrays)."""
-        lead, p, q = x.shape[:-2], x.shape[-2], a.shape[1] // 2
-        half = self._workspace("half", lead + (p, q))
-        np.matmul(x.view(np.float64), a, out=half.view(np.float64))
-        turned = self._workspace("half", lead + (q, p))  # half itself only if p = q = 1
-        np.copyto(turned, half.swapaxes(-1, -2))
-        np.matmul(turned.view(np.float64), a, out=out.view(np.float64))
-        return out
+        as two plan arrays that the next call overwrites: the moment kernel of
+        the plan for c's stack shape (_Plan.moments), which a caller that
+        evaluates one shape many times fetches once, as _plan(lead).moments."""
+        return self._plan(coeffs.shape[:-1]).moments(coeffs)
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of grid values w[..., M, M].
@@ -211,23 +177,122 @@ class ModeLattice:
 
     def _from_grid(self, values: np.ndarray, overwrite: bool) -> np.ndarray:
         """from_grid; with `overwrite` the y-pass may run in place on `values`."""
-        lead, M, lo = values.shape[:-2], self.M, self.n_max + 1
-        if self._dft is not None:
-            band = self._real_passes(np.ascontiguousarray(values, np.complex128), self._dft[1],
-                                     self._workspace("band", lead + self._band_shape))
-        else:
-            spec = fft2(values, axes=(-1,), norm="forward", overwrite_x=overwrite)
-            band = self._workspace("band", lead + self._band_shape)
-            band[..., :lo] = spec[..., :lo]
-            band[..., lo:] = spec[..., M - self.n_max:]
-            band = fft2(band, axes=(-2,), norm="forward", overwrite_x=True)
-        return band.reshape(lead + (-1,))[..., self._band_index]
+        return self._plan(values.shape[:-2]).from_grid(values, overwrite)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeLattice) and other.n_cut == self.n_cut
 
     def __repr__(self) -> str:
         return f"ModeLattice(n_cut={self.n_cut}, n_modes={self.n_modes}, M={self.M})"
+
+
+class _Plan:
+    """The work arrays of a lattice's transforms and kernels for stacks of one
+    leading shape `lead`, with their float64 and transposed views, and the
+    kernels that run on them.  The grid-sized scratch (`real`, `grid`,
+    `grid2`) is made on first use, since most stack shapes never ask for it.
+    A plan refers to nothing that refers back to it, so a dropped lattice frees
+    its plans at once, not at the next garbage collection.
+    """
+
+    def __init__(self, lat: ModeLattice, lead: tuple):
+        self.lead, self.M, self.n_max = lead, lat.M, lat.n_max
+        self.gather, self.index, self.dft = lat._band_gather, lat._band_index, lat._dft
+        # every band position takes its mode from c padded by one zero
+        self.pad = np.empty(lead + (lat.n_modes + 1,), np.complex128)
+        self.pad[..., -1] = 0.0
+        self.body = self.pad[..., :-1]
+        self.band = np.empty(lead + lat._band_shape, np.complex128)
+        self.band_flat = self.band.reshape(lead + (-1,))
+        # the moment kernel's outputs, and the (re, im) pairs of each row of the
+        # copy of c that to_grid leaves in the pad, as a row and as a column
+        self.m2, self.m4 = np.empty(lead + (1, 1)), np.empty(lead + (1, 1))
+        self.m2_flat, self.m4_flat = self.m2.reshape(lead), self.m4.reshape(lead)
+        c_f = self.pad.view(np.float64)[..., :-2]
+        self.c_rows, self.c_cols = c_f[..., None, :], c_f[..., :, None]
+        if self.dft is not None:
+            # the stacks between the two passes: rows by y-frequency (side, M)
+            # and rows by x grid point (M, side); each pass is a GEMM into the
+            # float64 view of one, and a transposing copy into the other
+            side = lat._band_shape[0]
+            self.by_freq = np.empty(lead + (side, self.M), np.complex128)
+            self.by_point = np.empty(lead + (self.M, side), np.complex128)
+            self.band_f, self.by_freq_f, self.by_point_f = (
+                a.view(np.float64) for a in (self.band, self.by_freq, self.by_point))
+            self.by_freq_t = self.by_freq.swapaxes(-1, -2)
+            self.by_point_t = self.by_point.swapaxes(-1, -2)
+
+    @cached_property
+    def real(self) -> np.ndarray:
+        return np.empty(self.lead + (self.M, self.M))
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return np.empty(self.lead + (self.M, self.M), np.complex128)
+
+    @cached_property
+    def grid2(self) -> np.ndarray:
+        return np.empty(self.lead + (self.M, self.M), np.complex128)
+
+    def to_grid(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The grid values of coeffs[lead + (K,)], written into `out` and returned
+        (the FFT side returns what its last FFT returns, `out` if in place).
+
+        DFT side: (B F^T)^T F^T on the frequency block B, its rows the
+        y-frequencies, as two real GEMMs from the right with a transposing copy
+        between them.
+        """
+        self.body[...] = coeffs
+        self.pad.take(self.gather, axis=-1, out=self.band_flat, mode="clip")
+        if self.dft is not None:
+            a = self.dft[0]
+            np.matmul(self.band_f, a, out=self.by_freq_f)
+            np.copyto(self.by_point, self.by_freq_t)
+            np.matmul(self.by_point_f, a, out=out.view(np.float64))
+            return out
+        M, lo = self.M, self.n_max + 1
+        band = ifft2(self.band, axes=(-2,), norm="forward", overwrite_x=True)
+        out[..., :lo] = band[..., :lo]
+        out[..., lo:M - self.n_max] = 0.0
+        out[..., M - self.n_max:] = band[..., lo:]
+        return ifft2(out, axes=(-1,), norm="forward", overwrite_x=True)
+
+    def from_grid(self, values: np.ndarray, overwrite: bool) -> np.ndarray:
+        """Coefficients of values[lead + (M, M)] as a new array; with `overwrite`
+        the FFT y-pass may run in place on `values`."""
+        if self.dft is not None:
+            a = self.dft[1]
+            x = np.ascontiguousarray(values, np.complex128).view(np.float64)
+            np.matmul(x, a, out=self.by_point_f)
+            np.copyto(self.by_freq, self.by_point_t)
+            np.matmul(self.by_freq_f, a, out=self.band_f)
+            return self.band_flat[..., self.index]
+        M, lo = self.M, self.n_max + 1
+        spec = fft2(values, axes=(-1,), norm="forward", overwrite_x=overwrite)
+        self.band[..., :lo] = spec[..., :lo]
+        self.band[..., lo:] = spec[..., M - self.n_max:]
+        band = fft2(self.band, axes=(-2,), norm="forward", overwrite_x=True)
+        return band.reshape(self.lead + (-1,))[..., self.index]
+
+    @cached_property
+    def sq_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (re, im) pairs of each row of `grid2`, as a row and as a column."""
+        sq_f = self.grid2.view(np.float64).reshape(self.lead + (-1,))
+        return sq_f[..., None, :], sq_f[..., :, None]
+
+    def moments(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The moment kernel: c[lead + (K,)] -> (sum |c|^2, grid mean |u|^4 =
+        |u^2|^2) per row, as dot products of the (re, im) pairs with themselves,
+        one BLAS call per row.  Both are plan arrays of shape `lead` that the
+        next call overwrites, free for the caller to use as scratch until then."""
+        u = self.to_grid(coeffs, self.grid)
+        np.matmul(self.c_rows, self.c_cols, out=self.m2)
+        # out of place: numpy squares a short array in place by a loop whose
+        # bits depend on where in the stack the row sits
+        np.multiply(u, u, out=self.grid2)
+        np.matmul(*self.sq_pairs, out=self.m4)
+        np.divide(self.m4, self.M**2, out=self.m4)
+        return self.m2_flat, self.m4_flat
 
 
 @dataclass

@@ -242,23 +242,27 @@ def _lockstep_run(lat, phi, seeds, gammas, n_steps, noise=1.0, **kw):
 @pytest.mark.parametrize("nonlinearity_on, noise_on",
                          [(True, True), (False, True), (True, False)])
 def test_lockstep_rows_equal_one_row_evolve(renormalization, nonlinearity_on, noise_on):
-    lat = ModeLattice(3)
-    rng = np.random.default_rng(21)
-    n_steps, seeds = 12, [3, 40, 41]
-    phi = np.stack([0.5 * _gff(3, 30 + m).coeffs for m in range(len(seeds))])
-    gammas = np.where(rng.random(5) < 0.4, 0.0, rng.uniform(0.05, 1.0, 5))
-    gammas[:2] = (0.0, 0.3)  # both branches, whatever the draw
+    # n_cut = 1 is the one-mode lattice: numpy takes a one-element complex
+    # product that is in place or broadcast by a scalar loop whose rounding
+    # differs from a stack's vector loop
     kw = dict(renormalization=renormalization, nonlinearity_on=nonlinearity_on)
     noise = 1.0 if noise_on else 0.0  # no noise: every row has zero increments
-    states = _lockstep_run(lat, phi, seeds, gammas, n_steps, noise, **kw)
-    assert states.shape == (n_steps + 1, len(gammas), len(seeds), lat.n_modes)
-    for m, sd in enumerate(seeds):
-        path = NoisePath.generate(lat, 0.2, n_steps, seed=sd)
-        path.increments = noise * path.increments
-        for j, g in enumerate(gammas):
-            traj = evolve(FourierField(lat, phi[m]), path,
-                          DynamicsConfig(float(g), **kw))
-            np.testing.assert_array_equal(states[:, j, m], traj.coeffs)
+    for n_cut in (3, 1):
+        lat = ModeLattice(n_cut)
+        rng = np.random.default_rng(21)
+        n_steps, seeds = 12, [3, 40, 41]
+        phi = np.stack([0.5 * _gff(n_cut, 30 + m).coeffs for m in range(len(seeds))])
+        gammas = np.where(rng.random(5) < 0.4, 0.0, rng.uniform(0.05, 1.0, 5))
+        gammas[:2] = (0.0, 0.3)  # both branches, whatever the draw
+        states = _lockstep_run(lat, phi, seeds, gammas, n_steps, noise, **kw)
+        assert states.shape == (n_steps + 1, len(gammas), len(seeds), lat.n_modes)
+        for m, sd in enumerate(seeds):
+            path = NoisePath.generate(lat, 0.2, n_steps, seed=sd)
+            path.increments = noise * path.increments
+            for j, g in enumerate(gammas):
+                traj = evolve(FourierField(lat, phi[m]), path,
+                              DynamicsConfig(float(g), **kw))
+                np.testing.assert_array_equal(states[:, j, m], traj.coeffs)
 
 
 def test_lockstep_rows_equal_evolve_on_a_large_stack():

@@ -18,6 +18,7 @@ from torus_phi4 import (
     wick_action,
     wick_potential,
 )
+from torus_phi4 import spectral
 
 
 def test_mode_variance_sum_closed_form():
@@ -160,7 +161,7 @@ def _reference_pcn_chains(lattice, potential, n_chains, rng, beta, n_steps):
         a *= a
         m2 = a.sum(axis=1)
         g = lattice.to_grid(c)
-        a = np.abs(g, out=lattice._workspace("real", g.shape, np.float64))
+        a = np.abs(g)
         a *= a
         a *= a
         return m2, a.sum(axis=(-2, -1)) / points
@@ -208,6 +209,26 @@ def test_pcn_chains_equal_reference_sweep(potential, n_cut, n_chains, n_steps, s
     np.testing.assert_allclose(kernel, scalar, rtol=1e-12)
 
 
+
+
+def test_a_sweep_makes_its_plan_once(monkeypatch):
+    # the moment kernel's plan is made before the first step, so the number
+    # of plans a sweep makes does not grow with its length
+    made = []
+
+    class CountedPlan(spectral._Plan):
+        def __init__(self, lat, lead):
+            made.append(lead)
+            super().__init__(lat, lead)
+
+    monkeypatch.setattr(spectral, "_Plan", CountedPlan)
+    counts = []
+    for n_steps in (10, 100):
+        made.clear()
+        sample_gibbs_pcn_chains(ModeLattice(4), "wick", 8, np.random.default_rng(2),
+                                n_steps=n_steps)
+        counts.append(len(made))
+    assert counts == [1, 1]
 
 
 def test_exponential_moments_bounded_and_cauchy():

@@ -212,11 +212,18 @@ def test_every_row_of_a_stack_gets_its_bits_alone(n_cut):
                 assert np.array_equal(a[i], b)
 
 
+def _plan_arrays(lat):
+    """Every array a plan of the lattice holds as an attribute."""
+    return [a for plan in lat._plans.values() for a in vars(plan).values()
+            if isinstance(a, np.ndarray)]
+
+
 @pytest.mark.parametrize("n_cut", [8, SWITCH_SIDES[1]])
 def test_workspaces_are_invisible(n_cut):
     # one lattice fed alternating stack shapes, interleaved with a second
     # lattice of the same cutoff and one of another, returns bit for bit
-    # what a fresh lattice returns for each input alone
+    # what a fresh lattice returns for each input alone; no transform result
+    # shares memory with a plan array
     rng = np.random.default_rng(11)
     probe = ModeLattice(n_cut)
     inputs = {}
@@ -224,15 +231,22 @@ def test_workspaces_are_invisible(n_cut):
         c = rng.standard_normal((rows, probe.n_modes)) + 1j * rng.standard_normal((rows, probe.n_modes))
         w = rng.standard_normal((rows, probe.M, probe.M)) + 1j * rng.standard_normal((rows, probe.M, probe.M))
         inputs[rows] = (c, w)
-    fresh = {rows: _transforms(ModeLattice(n_cut), c, w) for rows, (c, w) in inputs.items()}
+
+    def run(lat, c, w):
+        return (*_transforms(lat, c, w), *(m.copy() for m in lat._moments(c)))
+
+    fresh = {rows: run(ModeLattice(n_cut), c, w) for rows, (c, w) in inputs.items()}
     shared, twin, other = ModeLattice(n_cut), ModeLattice(n_cut), ModeLattice(n_cut / 2)
     c_other = rng.standard_normal(other.n_modes) + 0j
     for rows in (1, 3, 18, 1, 18, 3, 3, 1):
         for lat in (shared, twin):
-            got = _transforms(lat, *inputs[rows])
+            got = run(lat, *inputs[rows])
             for a, b in zip(got, fresh[rows]):
                 assert np.array_equal(a, b)
+            for a in got[:2]:  # to_grid and from_grid
+                assert not any(np.shares_memory(a, p) for p in _plan_arrays(lat))
             nonpairing_batch(other, c_other, c_other, c_other)
+            other._moments(c_other)
 
 
 @pytest.mark.parametrize("n_cut", [8, SWITCH_SIDES[1]])
@@ -269,9 +283,11 @@ def test_moments_match_grid_means(n_cut):
 
 @pytest.mark.parametrize("n_cut", [16, 32])
 def test_moments_allocate_only_the_grid(n_cut):
+    # a warm call transforms into its plan's grid, so it allocates no grid at
+    # all: what it holds is a few small Python objects
     lat = ModeLattice(n_cut)
     c = np.random.default_rng(14).standard_normal((2, lat.n_modes)) + 0j
-    assert _transient_grids(lambda: lat._moments(c), 2 * lat.M**2 * 16) <= 1.1
+    assert _transient_grids(lambda: lat._moments(c), 2 * lat.M**2 * 16) <= 0.05
 
 
 def _transient_grids(fn, grid_bytes):
