@@ -9,8 +9,8 @@ mean mass than the free field.
 
 import numpy as np
 
-from torus_phi4 import (ModeLattice, check_exponential_moments, mass,
-                        mode_variance_sum, sample_gff,
+from torus_phi4 import (FourierField, ModeLattice, check_exponential_moments,
+                        mass, mode_variance_sum, sample_gff,
                         sample_gibbs_pcn_chains)
 
 lat = ModeLattice(4)
@@ -20,7 +20,7 @@ print(f"Gaussian mass at cutoff 4: sigma = {sigma:.4f}")
 rng = np.random.default_rng(0)
 res = sample_gibbs_pcn_chains(lat, "wick", n_chains=128, rng=rng,
                               n_steps=4000)
-masses = np.array([mass(f) for f in res.fields])
+masses = mass(FourierField(lat, res.samples))  # one mass per chain
 print(f"pCN acceptance rate {res.acceptance_rate:.3f}")
 print(f"interacting mean mass {masses.mean():.3f} +/- "
       f"{masses.std(ddof=1)/np.sqrt(len(masses)):.3f} "

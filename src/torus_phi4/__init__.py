@@ -25,8 +25,7 @@ from .flows import (linear_evolution, DynamicsConfig, Trajectory, evolve,
                     picard_remainder, PicardResult)
 from .chaos import (CellGrid, ChaosKernel, multi_integral, kernel_inner,
                     symmetrize, cubic_via_chaos, hypercontractivity_ratio)
-from .objects import (ObjectBundle, build_bundle, regularity_scan,
-                      write_scan_csv)
+from .objects import ObjectBundle, build_bundle, regularity_scan
 from .xsb import (smooth_bump, trajectory_window,
                   TwistedSpectrum, twisted_transform, xsb_norm,
                   sup_time_sobolev, duhamel_symbol, symbol_decay_sweep,

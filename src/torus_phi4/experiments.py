@@ -36,7 +36,7 @@ from .gibbs import mode_variance_sum, sample_gff, sample_gibbs_pcn_chains, \
 from .noise import NoisePath, lockstep_increments
 from .flows import DynamicsConfig, evolve, lockstep, picard_remainder, \
     extract_remainder, linear_distance, linear_evolution
-from .objects import regularity_scan, write_scan_csv
+from .objects import regularity_scan
 from .chaos import CellGrid, ChaosKernel, multi_integral, kernel_inner, \
     symmetrize
 from .xsb import symbol_decay_sweep, symbol_lipschitz_sweep, l4_ratio_scan
@@ -164,6 +164,25 @@ def _write_csv(rows: list[dict], out_dir: str | Path, name: str) -> Path:
     return path
 
 
+def _ensemble(lattice, data, dyn, horizon, n_steps, key):
+    """Yield the `lockstep` states of a (members, n_modes) data stack.
+
+    Member m is driven by the path seeded by SeedSequence([*key, m]), over
+    n_steps steps to `horizon`.  A damping axis in `dyn.gamma` ahead of the
+    member axis stacks rows that share each member's data and path.
+    """
+    seeds = [int(np.random.SeedSequence([*key, m]).generate_state(1)[0])
+             for m in range(len(data))]
+    yield from lockstep(FourierField(lattice, data),
+                        lockstep_increments(lattice, horizon, n_steps, seeds),
+                        horizon / n_steps, dyn)
+
+
+def _mean_se(x):
+    """Mean and standard error over the members, the leading axis of x."""
+    return x.mean(axis=0), x.std(axis=0, ddof=1) / np.sqrt(len(x))
+
+
 # ---------------------------------------------------------------------------
 # invariance experiment
 # ---------------------------------------------------------------------------
@@ -206,13 +225,7 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
                                   n_steps=conf.chain_steps)
     checkpoints = (0, n_steps // 2, n_steps)
     obs = np.empty((len(checkpoints), ensemble, lattice.n_modes + 2))
-
-    # every member advances in lockstep, each driven by its own seeded path
-    seeds = [int(np.random.SeedSequence([seed, 202, m]).generate_state(1)[0])
-             for m in range(ensemble)]
-    phi = FourierField(lattice, np.stack([u.coeffs for u in pcn.fields]))
-    steps = lockstep(phi, lockstep_increments(lattice, horizon, n_steps, seeds),
-                     horizon / n_steps, dyn)
+    steps = _ensemble(lattice, pcn.samples, dyn, horizon, n_steps, (seed, 202))
     for k, c in enumerate(steps):
         for j in (j for j, kc in enumerate(checkpoints) if kc == k):
             u = FourierField(lattice, c)
@@ -220,15 +233,12 @@ def cmd_invariance(cfg: dict, seed: int = 0, out_dir=None) -> dict:
             obs[j, :, -2] = wick_potential(u)
             obs[j, :, -1] = field_mass(u)
 
-    base = obs[0]
     zrows = []
     worst = 0.0
     labels = [f"mode_{n0}_{n1}" for n0, n1 in lattice.modes] + \
         ["wick_potential", "mass"]
     for j, k in enumerate(checkpoints[1:], start=1):
-        diff = obs[j] - base
-        mean = diff.mean(axis=0)
-        se = diff.std(axis=0, ddof=1) / np.sqrt(ensemble)
+        mean, se = _mean_se(obs[j] - obs[0])
         z = np.where(se > 0, mean / np.maximum(se, 1e-300), 0.0)
         # a non-finite observable has a NaN standard error: its z is NaN,
         # which the gate below fails, not 0
@@ -297,22 +307,13 @@ def cmd_inviscid(cfg: dict, seed: int = 0, out_dir=None) -> dict:
 
     lattice = ModeLattice(n_cut)
     wt = lattice.brackets.astype(float) ** (2.0 * s_metric)
-    seeds = [int(np.random.SeedSequence([seed, 7, m]).generate_state(1)[0])
-             for m in range(ensemble)]
-    phi = np.empty((ensemble, lattice.n_modes), dtype=np.complex128)
-    for m in range(ensemble):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 8, m]))
-        phi[m] = amplitude * sample_gff(lattice, rng).coeffs
-    steps = lockstep(FourierField(lattice, phi),
-                     lockstep_increments(lattice, horizon, n_steps, seeds),
-                     horizon / n_steps, dyn)
+    phi = np.stack([amplitude * sample_gff(lattice, np.random.default_rng(
+        np.random.SeedSequence([seed, 8, m]))).coeffs for m in range(ensemble)])
     sup2 = np.zeros((ensemble, len(gammas)))  # running sup over time
-    for c in steps:
+    for c in _ensemble(lattice, phi, dyn, horizon, n_steps, (seed, 7)):
         diff2 = (np.abs(c[1:] - c[0]) ** 2 * wt).sum(axis=-1)
         np.maximum(sup2, diff2.T, out=sup2)
-    dists = np.sqrt(sup2)
-    mean_d = dists.mean(axis=0)
-    se_d = dists.std(axis=0, ddof=1) / np.sqrt(ensemble)
+    mean_d, se_d = _mean_se(np.sqrt(sup2))
     monotone = bool(np.all(mean_d[1:] <= mean_d[:-1] * (1.0 + conf.slack)))
     contract = bool(mean_d[-1] <= conf.final_frac * mean_d[0])
     floor = [linear_distance(lattice, g, horizon, s_metric, amplitude)
@@ -393,8 +394,12 @@ def cmd_smoothing(cfg: dict, seed: int = 0, out_dir=None) -> dict:
         "passed": lin_ok and thirty_ok,
     }, cfg, seed)
     if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        write_scan_csv(scan, str(Path(out_dir) / "smoothing_scan.csv"))
+        rows = [{"object": name, "s": scan["s"], "gamma": scan["gamma"], "n_cut": N,
+                 "mean_sq_norm": f"{m:.8e}", "stderr": f"{se:.8e}",
+                 "slope": f"{scan[name]['slope']:.4f}"}
+                for name in ("linear", "cubic", "integrated_cubic")
+                for N, m, se in zip(scan["n_cuts"], scan[name]["mean_sq"], scan[name]["se"])]
+        _write_csv(rows, out_dir, "smoothing_scan")
         write_report(report, out_dir, "smoothing")
     return report
 

@@ -96,7 +96,7 @@ def wick_action(u: FourierField) -> float | np.ndarray:
 
 @dataclass
 class PCNResult:
-    fields: list
+    samples: np.ndarray  # (n_chains, n_modes): one chain endpoint per row
     acceptance_rate: float
     potential_trace: np.ndarray
     beta: float
@@ -117,16 +117,17 @@ def sample_gibbs_pcn_chains(
     potential: 'quartic' (Phi = -renormalized_potential) or 'wick' (Phi =
     wick_action).  The proposal u' = sqrt(1-beta^2) u + beta w, with w a
     fresh free-field draw and 0 < beta <= 1, is reversible for the Gaussian,
-    so the acceptance ratio involves only the action difference.  Every
-    returned field is the endpoint of its own chain, so the samples are
-    independent, unlike thinned states of one slowly mixing chain.  The
-    moment kernel of the chains' stack shape is fetched once, before the first
-    step, so a step makes only RNG, elementwise, copy and BLAS calls: it draws
-    into fixed buffers, forms the proposal in place, evaluates all chains'
-    actions by one kernel call (one transform into the kernel's own grid: two
-    real GEMMs per chain up to N = 16, batched FFTs above), accepts in place
-    and adds the acceptances and the summed action to per-chain and per-step
-    tallies.  Up to N = 16 it allocates no array.
+    so the acceptance ratio involves only the action difference.  Each row
+    of the returned (n_chains, n_modes) stack is the endpoint of its own
+    chain, so the samples are independent, unlike thinned states of one
+    slowly mixing chain.  The moment kernel of the chains' stack shape is
+    fetched once, before the first step, so a step makes only RNG,
+    elementwise, copy and BLAS calls: it draws into fixed buffers, forms the
+    proposal in place, evaluates all chains' actions by one kernel call (one
+    transform into the kernel's own grid: two real GEMMs per chain up to
+    N = 16, batched FFTs above), accepts in place and adds the acceptances
+    and the summed action to per-chain and per-step tallies.  Up to N = 16 it
+    allocates no array.
     """
     if potential == "wick":
         sigma = mode_variance_sum(lattice.n_cut)
@@ -153,7 +154,8 @@ def sample_gibbs_pcn_chains(
     # by (x + 0j) in u' = sq * u + beta * (g / (sqrt(2) <n>))
     u_, prop_, w_ = (a.view(np.float64) for a in (u, prop, w))
     normals = np.empty_like(u_)
-    scale = np.repeat(1.0 / (np.sqrt(2.0) * lattice.brackets), 2)
+    # of the normals' full shape: numpy loops row by row over a broadcast row
+    scale = np.tile(np.repeat(1.0 / (np.sqrt(2.0) * lattice.brackets), 2), (n_chains, 1))
     phi_u, phi_p, log_r, gap = (np.empty(n_chains) for _ in range(4))
     acc = np.empty(n_chains, bool)
     acc_rows, accepted = acc[:, None], np.zeros(n_chains, np.int64)
@@ -175,8 +177,7 @@ def sample_gibbs_pcn_chains(
         accepted += acc
         np.add.reduce(phi_u, keepdims=True, out=total)
     trace /= n_chains
-    fields = [FourierField(lattice, u[k].copy()) for k in range(n_chains)]
-    return PCNResult(fields, int(accepted.sum()) / (n_steps * n_chains), trace, beta, n_steps)
+    return PCNResult(u, int(accepted.sum()) / (n_steps * n_chains), trace, beta, n_steps)
 
 
 def check_exponential_moments(

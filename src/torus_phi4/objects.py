@@ -21,7 +21,6 @@ cancellation it is claiming.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ __all__ = [
     "ObjectBundle",
     "build_bundle",
     "regularity_scan",
-    "write_scan_csv",
 ]
 
 
@@ -137,16 +135,3 @@ def regularity_scan(
         out[name] = {"mean_sq": mean, "se": se, "slope": slope}
     return out
 
-
-def write_scan_csv(scan: dict, path: str) -> None:
-    """Emit a regularity scan as CSV rows (object, s, N, mean_sq, se, slope)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object", "s", "gamma", "n_cut", "mean_sq_norm", "stderr", "slope"])
-        for name in ("linear", "cubic", "integrated_cubic"):
-            block = scan[name]
-            for N, m, se in zip(scan["n_cuts"], block["mean_sq"], block["se"]):
-                writer.writerow(
-                    [name, scan["s"], scan["gamma"], N, f"{m:.8e}", f"{se:.8e}",
-                     f"{block['slope']:.4f}"]
-                )

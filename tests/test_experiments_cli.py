@@ -112,6 +112,23 @@ def test_cli_invariance_csv_output(tmp_path, capsys):
     assert report["ensemble"] == 8
 
 
+def test_smoothing_csv_rows_are_the_reported_means(tmp_path):
+    # one row per object and cutoff, its mean the report's at 9 digits
+    n_cuts = [2, 4]
+    rep = cmd_smoothing({"n_cuts": n_cuts, "ensemble": 3, "horizon": 0.25},
+                        seed=0, out_dir=tmp_path)
+    with open(tmp_path / "smoothing_scan.csv") as fh:
+        assert fh.readline().strip() == "object,s,gamma,n_cut,mean_sq_norm,stderr,slope"
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
+    objects = ("linear", "cubic", "integrated_cubic")
+    assert len(rows) == 3 * len(n_cuts)
+    assert [(r["object"], int(r["n_cut"])) for r in rows] == \
+        [(name, N) for name in objects for N in n_cuts]
+    assert [r["mean_sq_norm"] for r in rows] == \
+        [f"{m:.8e}" for name in objects for m in rep["means"][name]]
+
+
 @pytest.mark.parametrize("command, cfg", [
     (cmd_inviscid, {"ensembel": 2, "n_steps": 10, "horizon": 0.01,
                     "n_cut": 2, "gammas": [0.5]}),
@@ -272,7 +289,7 @@ def _invariance_oracle(cfg, seed):
     for m in range(ens):
         sd = int(np.random.SeedSequence([seed, 202, m]).generate_state(1)[0])
         path = NoisePath.generate(lattice, cfg["horizon"], n_steps, seed=sd)
-        traj = evolve(pcn.fields[m], path, dyn)
+        traj = evolve(FourierField(lattice, pcn.samples[m]), path, dyn)
         for j, k in enumerate(checkpoints):
             u = FourierField(lattice, traj.coeffs[k])
             obs[j, m, :lattice.n_modes] = np.abs(u.coeffs) ** 2

@@ -87,7 +87,7 @@ def test_pcn_single_mode_matches_quadrature(potential):
     rng = np.random.default_rng(17)
     res = sample_gibbs_pcn_chains(lat, potential, 6000, rng, beta=0.5, n_steps=200)
     assert 0.05 < res.acceptance_rate < 0.95
-    samples = np.array([abs(f.coeffs[0]) ** 2 for f in res.fields])
+    samples = np.abs(res.samples[:, 0]) ** 2
     if potential == "quartic":
         oracle = _radial_moment(lambda m: 1.25 * m**2)
     else:
@@ -105,12 +105,13 @@ def test_pcn_chains_trace_is_mean_action(potential):
     lat = ModeLattice(2)
     res = sample_gibbs_pcn_chains(lat, potential, 6, np.random.default_rng(4),
                                   beta=0.3, n_steps=300)
-    assert len(res.fields) == 6 and res.n_steps == 300
+    assert res.samples.shape == (6, lat.n_modes) and res.n_steps == 300
     assert 0.0 < res.acceptance_rate < 1.0
+    fields = [FourierField(lat, c) for c in res.samples]
     if potential == "wick":
-        actions = [wick_action(f) for f in res.fields]
+        actions = [wick_action(f) for f in fields]
     else:
-        actions = [-renormalized_potential(f) for f in res.fields]
+        actions = [-renormalized_potential(f) for f in fields]
     assert res.potential_trace[-1] == pytest.approx(np.mean(actions),
                                                     rel=1e-12, abs=1e-12)
 
@@ -195,17 +196,17 @@ def test_pcn_chains_equal_reference_sweep(potential, n_cut, n_chains, n_steps, s
     res = sample_gibbs_pcn_chains(lat, potential, n_chains, np.random.default_rng(seed),
                                   beta=0.3, n_steps=n_steps)
     assert res.acceptance_rate == ref_rate
-    assert np.array_equal(np.stack([f.coeffs for f in res.fields]), ref_u)
+    assert np.array_equal(res.samples, ref_u)
     assert np.all(np.abs(res.potential_trace - ref_trace) <= 1e-12 * np.abs(ref_trace))
     # the kernel's per-chain action is the scalar action of each endpoint
     m2, m4 = lat._moments(ref_u)
     if potential == "wick":
         sigma = mode_variance_sum(n_cut)
         kernel = 0.5 * (m4 - 4.0 * sigma * m2 + 2.0 * sigma**2)
-        scalar = [wick_action(f) for f in res.fields]
+        scalar = [wick_action(FourierField(lat, c)) for c in res.samples]
     else:
         kernel = 0.25 * m4 + m2**2
-        scalar = [-renormalized_potential(f) for f in res.fields]
+        scalar = [-renormalized_potential(FourierField(lat, c)) for c in res.samples]
     np.testing.assert_allclose(kernel, scalar, rtol=1e-12)
 
 

@@ -1,7 +1,7 @@
 """Seeded reports of the experiment commands against stored golden values.
 
 `golden_reports.json` holds the reports of `cmd_invariance`, `cmd_inviscid`
-and `cmd_smoothing` (and the invariance z-scores) at the small configs
+and `cmd_smoothing` (and the CSV tables they write) at the small configs
 below, as the code computed them before the transform core and the
 per-mode norms moved to real arithmetic.  A change that only reorders
 floating point work must reproduce every number to GOLDEN_RTOL, and the
@@ -45,7 +45,8 @@ CASES = {
 
 
 def _run(name):
-    """The case's report as JSON reads it back, with the invariance z-scores."""
+    """The case's report as JSON reads it back, with the tables it writes:
+    the invariance z-scores, and every row of the inviscid and smoothing CSVs."""
     cmd, cfg, seed = CASES[name]
     with tempfile.TemporaryDirectory() as out:
         report = json.loads(json.dumps(cmd(dict(cfg), seed=seed, out_dir=out), default=float))
@@ -53,7 +54,21 @@ def _run(name):
         if zfile.exists():
             with open(zfile) as fh:
                 report["zscores"] = [float(r["z"]) for r in csv.DictReader(fh)]
+        for table in ("inviscid_distances", "smoothing_scan"):
+            path = Path(out) / f"{table}.csv"
+            if path.exists():
+                with open(path) as fh:
+                    report[table] = [{k: _cell(v) for k, v in row.items()}
+                                     for row in csv.DictReader(fh)]
     return report
+
+
+def _cell(text):
+    """A CSV cell as a float where it reads as one, else as its text."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _assert_matches(got, want, where):

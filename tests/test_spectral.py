@@ -276,9 +276,8 @@ def test_moments_match_grid_means(n_cut):
     np.testing.assert_allclose(m2, np.sum(np.abs(c) ** 2, axis=-1), rtol=1e-13)
     np.testing.assert_allclose(m4, np.mean(np.abs(grid) ** 4, axis=(-2, -1)), rtol=1e-13)
     m2, m4 = m2.copy(), m4.copy()
-    if lat.M > 1:  # numpy squares a one-point grid by its scalar path
-        for i, j in np.ndindex(2, 4):
-            assert lat._moments(c[i, j]) == (m2[i, j], m4[i, j])
+    for i, j in np.ndindex(2, 4):
+        assert lat._moments(c[i, j]) == (m2[i, j], m4[i, j])
 
 
 @pytest.mark.parametrize("n_cut", [16, 32])
